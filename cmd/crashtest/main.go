@@ -137,6 +137,14 @@ Flags:
 		}
 		spec.Cores = *cores
 	}
+	cfg, err := spec.Config()
+	if err == nil {
+		err = crash.CheckArenas(cfg)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var targets []workloads.Workload
 	if *workload == "all" {
 		targets = workloads.Extended()

@@ -114,6 +114,31 @@ func main() {
 		}
 		return
 	}
+	var readers []*trace.BinReader
+	if *replayTrace != "" {
+		if *recordTrace != "" {
+			fmt.Fprintln(os.Stderr, "-record-trace and -replay-trace are mutually exclusive")
+			os.Exit(2)
+		}
+		readers, err = trace.ReadTracesFile(*replayTrace)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if *specPath == "" {
+			// The recorded file fixes the core count; the registered-spec
+			// path adopts it so -cores need not be repeated at replay.
+			spec.Cores = len(readers)
+		}
+	}
+	cfg, err := spec.Config()
+	if err == nil {
+		err = crash.CheckArenas(cfg)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if _, err := workloads.ByName(*workload); err != nil {
 		fmt.Fprintf(os.Stderr, "unknown workload %q (valid: %s)\n",
 			*workload, strings.Join(workloads.ExtendedNames(), "|"))
@@ -147,20 +172,6 @@ func main() {
 	var res core.Result
 	switch {
 	case *replayTrace != "":
-		if *recordTrace != "" {
-			fmt.Fprintln(os.Stderr, "-record-trace and -replay-trace are mutually exclusive")
-			os.Exit(2)
-		}
-		readers, err := trace.ReadTracesFile(*replayTrace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *specPath == "" {
-			// The recorded file fixes the core count; the registered-spec
-			// path adopts it so -cores need not be repeated at replay.
-			spec.Cores = len(readers)
-		}
 		res, err = core.RunSpecSourcesObserved(spec, *workload, trace.BinSources(readers), pb)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -169,11 +180,6 @@ func main() {
 	default:
 		if *recordTrace != "" {
 			w, _ := workloads.ByName(*workload)
-			cfg, err := spec.Config()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
 			if err := crash.RecordTraces(w, params.WithDefaults(), cfg.NumCores, *recordTrace); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

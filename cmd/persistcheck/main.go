@@ -276,7 +276,7 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 		}
 	}
 	type target struct {
-		eng engines.Engine
+		eng engines.Policy
 		cfg *config.Config
 		src string
 	}
@@ -287,7 +287,7 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 			fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 			return 2
 		}
-		targets = append(targets, target{e, config.Default(e.Design()), "registry"})
+		targets = append(targets, target{e, config.Default(e.Design), "registry"})
 	}
 	for _, path := range specPaths {
 		eng, cfg, err := engineFromSpec(path)
@@ -305,7 +305,7 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 			status = fmt.Sprintf("%d finding(s)", len(rep.Findings))
 		}
 		fmt.Printf("%-14s %2d abstract programs (%s): %s\n",
-			t.eng.Name(), rep.Programs, t.src, status)
+			t.eng.Name, rep.Programs, t.src, status)
 		if rep.Clean() {
 			continue
 		}
@@ -315,9 +315,9 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 			if f.Violation == nil || cexDir == "" {
 				continue
 			}
-			file := enginecheck.NewFile(t.eng.Name(), f, enginecheck.ModelFor(t.eng, t.cfg))
+			file := enginecheck.NewFile(t.eng.Name, f, enginecheck.ModelFor(t.eng, t.cfg))
 			path := filepath.Join(cexDir,
-				fmt.Sprintf("%s-%s-%d.json", t.eng.Name(), f.Rule, i))
+				fmt.Sprintf("%s-%s-%d.json", t.eng.Name, f.Rule, i))
 			if err := file.WriteFile(path); err != nil {
 				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 				return 2
@@ -332,7 +332,21 @@ func runEngineCheck(specPaths []string, cexDir string) int {
 // the configuration it implies, so custom machine definitions are
 // contract-checked under their own sizing (stop-loss windows scale with
 // the counter cache, not the Table-2 default).
-func engineFromSpec(path string) (engines.Engine, *config.Config, error) {
+func engineFromSpec(path string) (engines.Policy, *config.Config, error) {
+	r, cfg, err := resolveSpec(path)
+	if err != nil {
+		return engines.Policy{}, nil, err
+	}
+	eng, err := engines.ByName(r.Engine)
+	if err != nil {
+		return engines.Policy{}, nil, fmt.Errorf("%s: %v", path, err)
+	}
+	return eng, cfg, nil
+}
+
+// resolveSpec decodes, validates, and fully resolves a machine-spec
+// file, rejecting machines too small to hold the harness arenas.
+func resolveSpec(path string) (*machine.Spec, *config.Config, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -346,15 +360,14 @@ func engineFromSpec(path string) (engines.Engine, *config.Config, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %v", path, err)
 	}
+	if err := crash.CheckArenas(cfg); err != nil {
+		return nil, nil, fmt.Errorf("%s: %v", path, err)
+	}
 	r, err := spec.Resolved()
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %v", path, err)
 	}
-	eng, err := engines.ByName(r.Engine)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return eng, cfg, nil
+	return r, cfg, nil
 }
 
 // runMutants runs the seeded bad-engine catalog through the checker:
@@ -376,7 +389,7 @@ func runMutants(cexDir string) int {
 		rep := enginecheck.Check(m.Engine, nil)
 		if rep.Clean() {
 			bad++
-			fmt.Printf("%-26s ESCAPED — %s\n", m.Engine.Name(), m.Why)
+			fmt.Printf("%-26s ESCAPED — %s\n", m.Engine.Name, m.Why)
 			continue
 		}
 		var rules []string
@@ -396,11 +409,11 @@ func runMutants(cexDir string) int {
 		if !matched {
 			bad++
 			fmt.Printf("%-26s caught by %v, want one of %v\n",
-				m.Engine.Name(), rules, m.Expect)
+				m.Engine.Name, rules, m.Expect)
 			continue
 		}
 		fmt.Printf("%-26s caught by %v (expected %v)\n",
-			m.Engine.Name(), rules, m.Expect)
+			m.Engine.Name, rules, m.Expect)
 		if cexDir == "" {
 			continue
 		}
@@ -408,10 +421,10 @@ func runMutants(cexDir string) int {
 			if f.Violation == nil {
 				continue
 			}
-			file := enginecheck.NewFile(m.Engine.Name(), f,
-				enginecheck.ModelFor(m.Engine, config.Default(m.Engine.Design())))
+			file := enginecheck.NewFile(m.Engine.Name, f,
+				enginecheck.ModelFor(m.Engine, config.Default(m.Engine.Design)))
 			path := filepath.Join(cexDir,
-				fmt.Sprintf("%s-%s.json", m.Engine.Name(), f.Rule))
+				fmt.Sprintf("%s-%s.json", m.Engine.Name, f.Rule))
 			if err := file.WriteFile(path); err != nil {
 				fmt.Fprintf(os.Stderr, "persistcheck: %v\n", err)
 				return 2
@@ -431,22 +444,9 @@ func runMutants(cexDir string) int {
 // checkSpec decodes, validates, and fully resolves a machine-spec file,
 // confirming it describes a buildable machine before verification runs.
 func checkSpec(path string) error {
-	f, err := os.Open(path)
+	r, cfg, err := resolveSpec(path)
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	spec, err := machine.DecodeSpec(f)
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	cfg, err := spec.Config()
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	r, err := spec.Resolved()
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
 	}
 	fmt.Printf("machine spec %s: engine %s, backend %s, %d core(s), design %v — OK\n",
 		path, r.Engine, r.Backend, cfg.NumCores, cfg.Design)

@@ -35,7 +35,7 @@ func TestBuiltinEnginesClean(t *testing.T) {
 func TestMutantsCaught(t *testing.T) {
 	seen := map[string]bool{}
 	for _, m := range Mutants() {
-		name := m.Engine.Name()
+		name := m.Engine.Name
 		if seen[name] {
 			t.Fatalf("duplicate mutant name %s", name)
 		}
@@ -102,11 +102,11 @@ func TestIdealDisclaimConfirmed(t *testing.T) {
 func TestCounterexampleReplay(t *testing.T) {
 	var m Mutant
 	for _, c := range Mutants() {
-		if c.Engine.Name() == "ideal-claims-consistent" {
+		if c.Engine.Name == "ideal-claims-consistent" {
 			m = c
 		}
 	}
-	if m.Engine == nil {
+	if m.Engine.Name == "" {
 		t.Fatal("catalog is missing ideal-claims-consistent")
 	}
 	rep := Check(m.Engine, nil)
@@ -118,9 +118,9 @@ func TestCounterexampleReplay(t *testing.T) {
 		}
 	}
 	if f == nil {
-		t.Fatalf("no V-rule finding with a schedule for %s: %v", m.Engine.Name(), rep.Findings)
+		t.Fatalf("no V-rule finding with a schedule for %s: %v", m.Engine.Name, rep.Findings)
 	}
-	file := NewFile(m.Engine.Name(), *f, ModelFor(m.Engine, nil))
+	file := NewFile(m.Engine.Name, *f, ModelFor(m.Engine, nil))
 	if len(file.Ops) == 0 || len(file.Arenas) == 0 {
 		t.Fatal("counterexample file is missing the abstract trace")
 	}
@@ -162,15 +162,15 @@ func TestCounterexampleReplayDetectsDrift(t *testing.T) {
 	}
 }
 
-func mustMutant(t *testing.T, name string) engines.Engine {
+func mustMutant(t *testing.T, name string) engines.Policy {
 	t.Helper()
 	for _, m := range Mutants() {
-		if m.Engine.Name() == name {
+		if m.Engine.Name == name {
 			return m.Engine
 		}
 	}
 	t.Fatalf("no mutant %s", name)
-	return nil
+	return engines.Policy{}
 }
 
 func TestRulesCatalog(t *testing.T) {
@@ -192,12 +192,12 @@ func TestCheckDeterministic(t *testing.T) {
 		a := Check(m.Engine, nil)
 		b := Check(m.Engine, nil)
 		if len(a.Findings) != len(b.Findings) {
-			t.Fatalf("%s: nondeterministic finding count", m.Engine.Name())
+			t.Fatalf("%s: nondeterministic finding count", m.Engine.Name)
 		}
 		for i := range a.Findings {
 			if a.Findings[i].String() != b.Findings[i].String() {
 				t.Fatalf("%s: finding %d drifted:\n%s\n%s",
-					m.Engine.Name(), i, a.Findings[i], b.Findings[i])
+					m.Engine.Name, i, a.Findings[i], b.Findings[i])
 			}
 		}
 	}

@@ -1,88 +1,10 @@
 package enginecheck
 
-import (
-	"encnvm/internal/config"
-	"encnvm/internal/ctrenc"
-	"encnvm/internal/machine/engines"
-	"encnvm/internal/mem"
-)
-
-// table is a fully explicit policy table implementing engines.Engine,
-// used to seed bad-engine mutants: each mutant is a builtin's table with
-// one policy answer broken. Recovery delegates to a real engine so the
-// mutants exercise the checker, not reimplement firmware.
-type table struct {
-	name    string
-	design  config.Design
-	base    engines.Engine // Recover delegate
-	enc     bool
-	cache   bool
-	coloc   bool
-	sep     bool
-	fifo    bool
-	pairs   bool
-	forceCA bool
-	dropCA  bool
-	emit    bool
-	wait    bool
-	stop    bool
-	integ   bool
-	wthru   bool
-	// treeDrop suppresses the tree-path writes an integrity engine owes
-	// (the "forgot to persist the ancestor path" bug); treeUnordered
-	// emits them without fence ordering.
-	treeDrop      bool
-	treeUnordered bool
-	claims        bool
-}
-
-func (t *table) Name() string                 { return t.name }
-func (t *table) Design() config.Design        { return t.design }
-func (t *table) Encrypted() bool              { return t.enc }
-func (t *table) UsesCounterCache() bool       { return t.cache }
-func (t *table) CoLocatesCounters() bool      { return t.coloc }
-func (t *table) SeparateCounterWrites() bool  { return t.sep }
-func (t *table) FIFOAcceptance() bool         { return t.fifo }
-func (t *table) PairsEveryWrite() bool        { return t.pairs }
-func (t *table) CounterWritebackEmits() bool  { return t.emit }
-func (t *table) CounterWritebackBlocks() bool { return t.wait }
-func (t *table) CrashConsistent() bool        { return t.claims }
-func (t *table) IntegrityProtected() bool     { return t.integ }
-func (t *table) MetadataWriteThrough() bool   { return t.wthru }
-func (t *table) TreePathOrdered() bool        { return !t.treeUnordered }
-
-func (t *table) TreePathWrites(cfg *config.Config) int {
-	if !t.integ || t.wthru || t.treeDrop {
-		return 0
-	}
-	return engines.TreeDepth(cfg) + 1
-}
-
-func (t *table) WriteIsCounterAtomic(annotated bool) bool {
-	if t.forceCA {
-		return true
-	}
-	if t.dropCA {
-		return false
-	}
-	return annotated
-}
-
-func (t *table) StopLossLimit(cfg *config.Config) int {
-	if !t.stop {
-		return -1
-	}
-	return cfg.StopLoss
-}
-
-func (t *table) Recover(cfg *config.Config, lay mem.Layout, enc *ctrenc.Engine,
-	writes map[mem.Addr]mem.Write) (*mem.Space, engines.RecoveryCost) {
-	return t.base.Recover(cfg, lay, enc, writes)
-}
+import "encnvm/internal/machine/engines"
 
 // Mutant is one seeded bad engine plus the rules expected to catch it.
 type Mutant struct {
-	Engine engines.Engine
+	Engine engines.Policy
 	// Expect lists rule IDs; the checker must report at least one
 	// finding, and at least one finding's rule must be in this set.
 	Expect []string
@@ -90,90 +12,64 @@ type Mutant struct {
 }
 
 // Mutants returns the seeded catalog of broken engines. Every mutant is
-// a single-policy-bit corruption of a builtin — the exact bugs a
+// a builtin policy with one field corrupted — the exact bugs a
 // hand-written future engine is most likely to ship with.
 func Mutants() []Mutant {
-	// Shorthand bases: counter-region recovery (any non-stop-loss
-	// builtin) and checksum-window recovery.
-	plainRec := engines.SCA
-	osirisRec := engines.Osiris
-
-	sca := table{design: config.SCA, base: plainRec,
-		enc: true, cache: true, sep: true, emit: true, wait: true, claims: true}
-	fca := table{design: config.FCA, base: plainRec,
-		enc: true, cache: true, sep: true, fifo: true, pairs: true,
-		forceCA: true, emit: true, wait: true, claims: true}
-	ideal := table{design: config.Ideal, base: plainRec,
-		enc: true, cache: true, sep: true, emit: true}
-	colocated := table{design: config.CoLocated, base: plainRec,
-		enc: true, coloc: true, dropCA: true, claims: true}
-	noenc := table{design: config.NoEncryption, base: plainRec,
-		dropCA: true, claims: true}
-	osiris := table{design: config.Osiris, base: osirisRec,
-		enc: true, cache: true, sep: true, dropCA: true, stop: true, claims: true}
-	bmt := table{design: config.BMT, base: engines.BMT,
-		enc: true, cache: true, sep: true, emit: true, wait: true,
-		integ: true, claims: true}
-	secpm := table{design: config.SecPM, base: engines.SecPM,
-		enc: true, cache: true, sep: true, dropCA: true, integ: true,
-		wthru: true, claims: true}
-
-	mk := func(name string, t table, mutate func(*table), why string, expect ...string) Mutant {
-		t.name = name
-		mutate(&t)
-		return Mutant{Engine: &t, Expect: expect, Why: why}
+	mk := func(name string, p engines.Policy, mutate func(*engines.Policy), why string, expect ...string) Mutant {
+		p.Name = name
+		mutate(&p)
+		return Mutant{Engine: p, Expect: expect, Why: why}
 	}
-
 	return []Mutant{
-		mk("sca-dropca", sca, func(t *table) { t.dropCA = true },
+		mk("sca-dropca", engines.SCA, func(p *engines.Policy) { p.Atomicity = engines.AtomicNever },
 			"SCA that ignores the CounterAtomic annotation: the log seal can garble with no recovery path",
 			"C1"),
-		mk("sca-nonblocking-ccwb", sca, func(t *table) { t.wait = false },
+		mk("sca-nonblocking-ccwb", engines.SCA, func(p *engines.Policy) { p.CounterWritebackBlocks = false },
 			"SCA whose ccwb emits but never blocks the barrier: coalesced counters are volatile at the commit switch",
 			"C2", "V2"),
-		mk("sca-silent-ccwb", sca, func(t *table) { t.emit, t.wait = false, false },
+		mk("sca-silent-ccwb", engines.SCA, func(p *engines.Policy) { p.CounterWritebackEmits, p.CounterWritebackBlocks = false, false },
 			"SCA whose ccwb is a silent no-op: counters never head to NVM at all",
 			"C2", "V2"),
-		mk("fca-unpaired", fca, func(t *table) { t.forceCA = false },
+		mk("fca-unpaired", engines.FCA, func(p *engines.Policy) { p.Atomicity = engines.AtomicAnnotated },
 			"FCA that pairs every write but only forces atomicity on annotated ones: unannotated writes emit unpaired counter halves",
 			"C3"),
-		mk("colocated-ccwb", colocated, func(t *table) { t.emit = true },
+		mk("colocated-ccwb", engines.CoLocated, func(p *engines.Policy) { p.CounterWritebackEmits = true },
 			"co-located engine that also emits counter writebacks: there is no separate counter region to write",
 			"C0"),
-		mk("noenc-countercache", noenc, func(t *table) { t.cache = true },
+		mk("noenc-countercache", engines.Plaintext, func(p *engines.Policy) { p.UsesCounterCache = true },
 			"plaintext engine with a counter cache: nothing to cache",
 			"C0"),
-		mk("ideal-claims-consistent", ideal, func(t *table) { t.claims = true },
+		mk("ideal-claims-consistent", engines.Ideal, func(p *engines.Policy) { p.CrashConsistent = true },
 			"Ideal claiming crash consistency: its unordered ccwb garbles the log on the very first transaction",
 			"V2"),
-		mk("sca-claims-inconsistent", sca, func(t *table) { t.claims = false },
+		mk("sca-claims-inconsistent", engines.SCA, func(p *engines.Policy) { p.CrashConsistent = false },
 			"SCA disclaiming crash consistency: every abstract program verifies clean, so the disclaimer is unjustified",
 			"C4"),
-		mk("osiris-norecovery", osiris, func(t *table) { t.base = plainRec },
+		mk("osiris-norecovery", engines.Osiris, func(p *engines.Policy) { p.Recovery = engines.CounterRecovery },
 			"Osiris table whose firmware does plain counter-region recovery: a stale counter inside the window stays garbled",
 			"C4"),
-		mk("osiris-nostoploss", osiris, func(t *table) { t.stop = false },
+		mk("osiris-nostoploss", engines.Osiris, func(p *engines.Policy) { p.StopLoss = false },
 			"Osiris without the stop-loss rule: counters are unbounded-stale and the dropped annotation has no backstop",
 			"C1"),
-		mk("ideal-blocking-claim", ideal, func(t *table) { t.emit, t.wait = false, true },
+		mk("ideal-blocking-claim", engines.Ideal, func(p *engines.Policy) { p.CounterWritebackEmits, p.CounterWritebackBlocks = false, true },
 			"engine that blocks on a counter writeback it never emits",
 			"C0"),
-		mk("colocated-separate", colocated, func(t *table) { t.sep = true },
+		mk("colocated-separate", engines.CoLocated, func(p *engines.Policy) { p.SeparateCounterWrites = true },
 			"counters both co-located and separately written",
 			"C0"),
-		mk("stoploss-plaintext", noenc, func(t *table) { t.stop = true },
+		mk("stoploss-plaintext", engines.Plaintext, func(p *engines.Policy) { p.StopLoss = true },
 			"stop-loss rule on an unencrypted engine: no counters to bound",
 			"C0"),
-		mk("bmt-drop-tree-path", bmt, func(t *table) { t.treeDrop = true },
+		mk("bmt-drop-tree-path", engines.BMT, func(p *engines.Policy) { p.TreePath = engines.PathDropped },
 			"BMT whose counter writebacks never carry the ancestor tree path: the switch publishes lines whose tree nodes are volatile",
 			"V5"),
-		mk("bmt-unordered-tree", bmt, func(t *table) { t.treeUnordered = true },
+		mk("bmt-unordered-tree", engines.BMT, func(p *engines.Policy) { p.TreePath = engines.PathUnordered },
 			"BMT whose tree-path writes are emitted but never fence-ordered: the MAC path is in flight at the commit switch",
 			"V5"),
-		mk("secpm-no-writethrough", secpm, func(t *table) { t.wthru = false },
+		mk("secpm-no-writethrough", engines.SecPM, func(p *engines.Policy) { p.MetadataWriteThrough = false },
 			"SecPM that stops writing metadata through: with the annotation dropped and no ordering primitives, counters garble at the switch",
 			"C1", "C2", "V2"),
-		mk("noenc-integrity", noenc, func(t *table) { t.integ = true },
+		mk("noenc-integrity", engines.Plaintext, func(p *engines.Policy) { p.IntegrityProtected = true },
 			"integrity tree on an unencrypted engine: no counter-mode metadata to protect",
 			"C0"),
 	}

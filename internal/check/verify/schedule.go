@@ -243,7 +243,7 @@ func (v *verifier) sealCorruptionSchedule(tr trace.Source, i int, dep *lineState
 			{Addr: uint64(op.Addr.LineAddr()), Evict: true},
 			{Addr: uint64(target), Evict: true},
 		},
-		Drop: drop,
+		Drop:    drop,
 		Message: fmt.Sprintf("crash at the in-place mutation (op %d): the mutated line and the seal land, line %#x's %s does not — recovery cannot restore the heap", m, dep.addr, unsafeHalf(dep)),
 	}
 }
@@ -304,7 +304,7 @@ func (v *verifier) mutateSchedule(i int, op trace.Op) *Schedule {
 	return &Schedule{
 		Core: v.opts.Core, CrashOp: i, Kind: KindConsistency,
 		Inv: "V3", Victim: uint64(op.Addr.LineAddr()),
-		Land: []LandEntry{{Addr: uint64(op.Addr.LineAddr()), Evict: true}},
+		Land:    []LandEntry{{Addr: uint64(op.Addr.LineAddr()), Evict: true}},
 		Message: fmt.Sprintf("crash at the unsealed mutation (op %d): the garbled line lands with no recoverable backup", i),
 	}
 }

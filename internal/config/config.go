@@ -99,26 +99,11 @@ func (d Design) String() string {
 	}
 }
 
-// Encrypted reports whether the design encrypts memory at all.
-func (d Design) Encrypted() bool { return d != NoEncryption }
-
-// UsesCounterCache reports whether the design holds counters in an on-chip
-// counter cache (every encrypted design except plain CoLocated).
-func (d Design) UsesCounterCache() bool {
-	return d == Ideal || d == CoLocatedCC || d == FCA || d == SCA || d == Osiris ||
-		d == BMT || d == SecPM
-}
-
 // CoLocatesCounters reports whether data and counter travel as one 72B
-// access over a widened bus.
+// access over a widened bus. It sizes the default bus; every other
+// design fact lives in the design's engines.Policy, which an engines
+// test pins this predicate to.
 func (d Design) CoLocatesCounters() bool { return d == CoLocated || d == CoLocatedCC }
-
-// SeparateCounterWrites reports whether counters are written back to a
-// separate counter region with their own write accesses.
-func (d Design) SeparateCounterWrites() bool {
-	return d == Ideal || d == FCA || d == SCA || d == Osiris ||
-		d == BMT || d == SecPM
-}
 
 // CacheConfig describes one set-associative cache.
 type CacheConfig struct {

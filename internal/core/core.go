@@ -140,26 +140,11 @@ func RunTracesObserved(cfg *config.Config, workload string, traces []*trace.Trac
 	return runSystem(sys, workload, pb)
 }
 
-// RunSpecTraces replays pre-built traces on the machine a declarative
-// spec describes.
-func RunSpecTraces(spec *machine.Spec, workload string, traces []*trace.Trace) (Result, error) {
-	return RunSpecTracesObserved(spec, workload, traces, nil)
-}
-
-// RunSpecTracesObserved is RunSpecTraces with an observability probe.
+// RunSpecTracesObserved replays pre-built traces on the machine a
+// declarative spec describes, with an observability probe attached (nil
+// probe means no observation).
 func RunSpecTracesObserved(spec *machine.Spec, workload string, traces []*trace.Trace, pb *probe.Probe) (Result, error) {
 	sys, err := replay.NewSpec(spec, traces)
-	if err != nil {
-		return Result{}, err
-	}
-	return runSystem(sys, workload, pb)
-}
-
-// RunSourcesObserved replays trace cursors (e.g. binary trace files
-// decoded in place) under the given configuration — the streaming
-// sibling of RunTracesObserved.
-func RunSourcesObserved(cfg *config.Config, workload string, srcs []trace.Source, pb *probe.Probe) (Result, error) {
-	sys, err := replay.NewSources(cfg, srcs)
 	if err != nil {
 		return Result{}, err
 	}

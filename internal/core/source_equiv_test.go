@@ -39,7 +39,7 @@ func TestBinReplayMatchesMaterialized(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec.Cores = cores
-			want, err := RunSpecTraces(spec, name, traces)
+			want, err := RunSpecTracesObserved(spec, name, traces, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

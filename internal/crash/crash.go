@@ -36,6 +36,20 @@ import (
 // DefaultArena is the per-core arena used by the harness.
 const DefaultArena = 64 << 20
 
+// CheckArenas rejects a machine too small for the harness: every core's
+// DefaultArena must lie in the data region. On a smaller machine the
+// arenas overlap the counter region, which recovery never decrypts, so
+// a run would validate an empty image and a crash sweep would report
+// harness errors as violations. Every CLI calls it before running.
+func CheckArenas(cfg *config.Config) error {
+	last := persist.ArenaFor(cfg.NumCores-1, DefaultArena)
+	if err := mem.NewLayout(cfg.MemoryBytes).Validate(last.End() - 1); err != nil {
+		return fmt.Errorf("crash: memory_bytes %d cannot hold %d core arena(s) of %d bytes: %w",
+			cfg.MemoryBytes, cfg.NumCores, DefaultArena, err)
+	}
+	return nil
+}
+
 // Result is the outcome of one crash injection. The JSON shape is part
 // of the campaign report format; every count is meaningful (and emitted
 // as an explicit zero) in every sweep mode.

@@ -1,23 +1,21 @@
-// Package engines defines the MetadataEngine interface — the pluggable
-// policy seam of the machine architecture — and its nine concrete
-// implementations, one per evaluated memory-system design.
+// Package engines defines Policy — the metadata policy of one evaluated
+// memory-system design — and the nine builtin policies, one per design.
 //
-// A MetadataEngine answers every question the memory controller and the
-// crash harness used to settle by branching on config.Design: where
-// encryption counters live (co-located with the data, or in a separate
-// counter region behind a counter cache), when a write must be
-// counter-atomic, whether write acceptance is strict FIFO, whether
-// counter_cache_writeback() produces traffic and blocks persist barriers,
-// how much integrity-tree metadata each counter write drags along (or
-// whether metadata writes through with the data, SecPM-style), and how
-// post-crash recovery reconstructs plaintext from whatever landed in
-// NVM. New designs become new implementations of this interface
-// registered as machine specs — no controller edits required.
+// The designs differ only in metadata policy, and a Policy value states
+// all of it as data: where encryption counters live (co-located with the
+// data, or in a separate counter region behind a counter cache), when a
+// write is counter-atomic, whether write acceptance is strict FIFO,
+// whether counter_cache_writeback() produces traffic and blocks persist
+// barriers, how much integrity-tree metadata each counter write drags
+// along (or whether metadata writes through with the data, SecPM-style),
+// and which firmware reconstructs plaintext after a crash. The memory
+// controller, the crash harness and enginecheck all read the same value;
+// a new design is a new Policy registered as a machine spec, and a
+// seeded bad engine is a builtin with one field changed.
 //
 // The package is a leaf: it imports only the functional model (config,
 // mem, ctrenc), never the controller, so both internal/memctrl and
 // in-package controller tests can depend on it without cycles.
-// internal/machine re-exports the interface as machine.MetadataEngine.
 package engines
 
 import (
@@ -29,90 +27,121 @@ import (
 	"encnvm/internal/mem"
 )
 
-// Engine is the metadata-engine interface (re-exported as
-// machine.MetadataEngine). Implementations are stateless policy objects:
-// the controller owns all queues, caches and per-line state, and consults
-// the engine for every decision that varies across designs.
-type Engine interface {
+// Atomicity is the rule that decides whether a data write is
+// counter-atomic.
+type Atomicity uint8
+
+const (
+	// AtomicAnnotated honors the software CounterAtomic annotation.
+	AtomicAnnotated Atomicity = iota
+	// AtomicAlways makes every write counter-atomic (FCA).
+	AtomicAlways
+	// AtomicNever drops the annotation: no write is counter-atomic.
+	AtomicNever
+)
+
+// TreePath is how an integrity-protected engine's tree-path writes (the
+// line's ancestor tree nodes plus its MAC line) persist.
+type TreePath uint8
+
+const (
+	// PathWithCounter carries the path into the ADR domain together
+	// with the counter write it accompanies: the fence that makes the
+	// counter durable makes the path durable too. Every builtin uses it.
+	PathWithCounter TreePath = iota
+	// PathDropped never writes the path (the "forgot to persist the
+	// ancestor path" bug).
+	PathDropped
+	// PathUnordered writes the path without fence ordering.
+	PathUnordered
+)
+
+// Recovery selects the post-crash firmware that rebuilds plaintext.
+type Recovery uint8
+
+const (
+	// CounterRecovery decrypts every data line with the counter the
+	// image holds; stale or missing counters yield garbage.
+	CounterRecovery Recovery = iota
+	// OsirisRecovery searches the stop-loss window for the counter
+	// whose plaintext matches the line's persisted checksum.
+	OsirisRecovery
+	// TreeRecovery is CounterRecovery plus a root walk per line that
+	// reports torn counter/tree paths unrecovered.
+	TreeRecovery
+)
+
+// Policy is one design's metadata policy. Values are immutable and safe
+// to copy: the controller holds one by value and reads its fields on the
+// per-write path.
+type Policy struct {
 	// Name is the registry/spec name ("sca", "fca", ...).
-	Name() string
-	// Design is the config.Design enum value this engine implements —
+	Name string
+	// Design is the config.Design enum value this policy implements —
 	// the enum is presentation sugar over the engine registry.
-	Design() config.Design
+	Design config.Design
 
 	// Encrypted reports whether writes are counter-mode encrypted.
-	Encrypted() bool
+	Encrypted bool
 	// UsesCounterCache reports whether counters are cached on chip.
-	UsesCounterCache() bool
+	UsesCounterCache bool
 	// CoLocatesCounters reports whether the 8B counter travels with its
 	// 64B data line as one widened 72B access.
-	CoLocatesCounters() bool
-	// SeparateCounterWrites reports whether counters are written back to
-	// a separate counter region with their own accesses.
-	SeparateCounterWrites() bool
+	CoLocatesCounters bool
+	// SeparateCounterWrites reports whether counters are written back
+	// to a separate counter region with their own accesses.
+	SeparateCounterWrites bool
 
 	// FIFOAcceptance reports whether write acceptance is strictly FIFO
 	// (FCA): a blocked counter-atomic write stalls every younger write.
-	FIFOAcceptance() bool
+	FIFOAcceptance bool
 	// PairsEveryWrite reports whether each counter-atomic data write is
 	// paired with its own non-coalescing counter-line write (FCA's
 	// indivisible pair, which doubles its write traffic).
-	PairsEveryWrite() bool
-	// WriteIsCounterAtomic decides the final counter-atomicity of a data
-	// write given its software annotation.
-	WriteIsCounterAtomic(annotated bool) bool
+	PairsEveryWrite bool
+	// Atomicity decides the final counter-atomicity of a data write
+	// given its software annotation.
+	Atomicity Atomicity
 
 	// CounterWritebackEmits reports whether counter_cache_writeback()
 	// produces a counter write at all (false when counters co-locate
 	// with data, are absent, or are recovered from checksums).
-	CounterWritebackEmits() bool
+	CounterWritebackEmits bool
 	// CounterWritebackBlocks reports whether the primitive's acceptance
 	// callback must wait for the counter write to enter the ADR domain.
 	// The Ideal design pays the traffic but never the ordering — which
 	// is exactly why it is not crash consistent.
-	CounterWritebackBlocks() bool
+	CounterWritebackBlocks bool
 
-	// StopLossLimit returns the Osiris stop-loss bound: after this many
-	// rewrites a line's counter must head to NVM. Negative disables the
-	// rule entirely (0 writes the counter back with every data write).
-	StopLossLimit(cfg *config.Config) int
+	// StopLoss enables the Osiris stop-loss rule: after cfg.StopLoss
+	// rewrites a line's counter must head to NVM.
+	StopLoss bool
 
 	// IntegrityProtected reports whether the engine maintains persisted
 	// integrity metadata (tree nodes and MACs) over the counters, so a
 	// post-crash image must also be tree-verifiable (invariant V5).
-	IntegrityProtected() bool
-	// TreePathWrites returns how many extra metadata line writes each
-	// counter write carries: the line's ancestor tree-node path plus its
-	// MAC line for a Bonsai-Merkle-tree engine, 0 for engines without a
-	// persisted tree (or whose metadata travels with the data write).
-	TreePathWrites(cfg *config.Config) int
-	// TreePathOrdered reports that the tree-path writes enter the ADR
-	// domain together with the counter write they accompany — the fence
-	// that makes the counter durable makes the path durable too.
-	TreePathOrdered() bool
+	IntegrityProtected bool
 	// MetadataWriteThrough reports that the combined counter+MAC
 	// metadata line is enqueued with every data write (SecPM): metadata
 	// is crash consistent by construction, and separate counter
 	// durability is never at risk.
-	MetadataWriteThrough() bool
+	MetadataWriteThrough bool
+	// TreePath is how the tree-path writes persist.
+	TreePath TreePath
+
+	// Recovery selects the post-crash firmware. It is stated, not
+	// derived from StopLoss: a stop-loss table over plain counter
+	// recovery is a bug enginecheck must be able to express.
+	Recovery Recovery
 
 	// CrashConsistent is the design's crash-consistency claim: whether a
 	// correctly annotated program recovers to a consistent plaintext
 	// image from any crash point. The claim is an input, not a derived
 	// fact — enginecheck verifies it in both directions against the rest
-	// of the policy table (a claiming engine must verify clean under the
+	// of the policy (a claiming engine must verify clean under the
 	// V0–V4 invariants; a disclaiming engine must exhibit at least one
 	// violating schedule, otherwise the disclaimer is unjustified).
-	CrashConsistent() bool
-
-	// Recover reconstructs the plaintext view of a post-crash NVM image
-	// the way this design's firmware would, from the completed device
-	// writes. The cost is zero for every engine except Osiris (whose
-	// checksum-guided candidate search is the quantity the Anubis
-	// follow-on optimizes) and BMT (whose root walk charges one MAC
-	// verification per line and reports torn tree paths unrecovered).
-	Recover(cfg *config.Config, lay mem.Layout, enc *ctrenc.Engine,
-		writes map[mem.Addr]mem.Write) (*mem.Space, RecoveryCost)
+	CrashConsistent bool
 }
 
 // RecoveryCost quantifies recovery work. Trials counts candidate
@@ -127,78 +156,55 @@ type RecoveryCost struct {
 	Unrecovered int
 }
 
-// policy is the shared implementation: a declarative per-design policy
-// table. The nine engines differ only in this data; behaviorally novel
-// designs implement Engine directly.
-type policy struct {
-	name     string
-	design   config.Design
-	enc      bool // counter-mode encryption
-	cache    bool // on-chip counter cache
-	coloc    bool // counters travel with the data line
-	sep      bool // separate counter-region writes
-	fifo     bool // strict FIFO acceptance
-	pairs    bool // per-write indivisible counter pair
-	forceCA  bool // every write is counter-atomic
-	dropCA   bool // no write is ever counter-atomic
-	ccwbEmit bool // ccwb produces a counter write
-	ccwbWait bool // ccwb blocks the persist barrier
-	stopLoss bool // Osiris stop-loss counter writes
-	integ    bool // persisted integrity tree + MACs over the counters
-	wthru    bool // combined counter+MAC enqueued with every data write
-
-	consistent bool // the design's crash-consistency claim
-}
-
-func (p *policy) Name() string                 { return p.name }
-func (p *policy) Design() config.Design        { return p.design }
-func (p *policy) Encrypted() bool              { return p.enc }
-func (p *policy) UsesCounterCache() bool       { return p.cache }
-func (p *policy) CoLocatesCounters() bool      { return p.coloc }
-func (p *policy) SeparateCounterWrites() bool  { return p.sep }
-func (p *policy) FIFOAcceptance() bool         { return p.fifo }
-func (p *policy) PairsEveryWrite() bool        { return p.pairs }
-func (p *policy) CounterWritebackEmits() bool  { return p.ccwbEmit }
-func (p *policy) CounterWritebackBlocks() bool { return p.ccwbWait }
-func (p *policy) CrashConsistent() bool        { return p.consistent }
-func (p *policy) IntegrityProtected() bool     { return p.integ }
-func (p *policy) MetadataWriteThrough() bool   { return p.wthru }
-func (p *policy) TreePathOrdered() bool        { return true }
-
-func (p *policy) TreePathWrites(cfg *config.Config) int {
-	if !p.integ || p.wthru {
-		return 0
-	}
-	return TreeDepth(cfg) + 1 // ancestor path + the line's MAC line
-}
-
-func (p *policy) WriteIsCounterAtomic(annotated bool) bool {
-	if p.forceCA {
+// WriteIsCounterAtomic decides the final counter-atomicity of a data
+// write given its software annotation.
+func (p Policy) WriteIsCounterAtomic(annotated bool) bool {
+	switch p.Atomicity {
+	case AtomicAlways:
 		return true
-	}
-	if p.dropCA {
+	case AtomicNever:
 		return false
 	}
 	return annotated
 }
 
-func (p *policy) StopLossLimit(cfg *config.Config) int {
-	if !p.stopLoss {
+// StopLossLimit returns the Osiris stop-loss bound under cfg: after this
+// many rewrites a line's counter must head to NVM. Negative disables the
+// rule entirely (0 writes the counter back with every data write).
+func (p Policy) StopLossLimit(cfg *config.Config) int {
+	if !p.StopLoss {
 		return -1
 	}
 	return cfg.StopLoss
 }
 
-func (p *policy) Recover(cfg *config.Config, lay mem.Layout, enc *ctrenc.Engine,
+// TreePathWrites returns how many extra metadata line writes each
+// counter write carries under cfg: the line's ancestor tree-node path
+// plus its MAC line for a Bonsai-Merkle-tree engine, 0 for engines
+// without a persisted tree, whose metadata travels with the data write,
+// or whose path is dropped.
+func (p Policy) TreePathWrites(cfg *config.Config) int {
+	if !p.IntegrityProtected || p.MetadataWriteThrough || p.TreePath == PathDropped {
+		return 0
+	}
+	return TreeDepth(cfg) + 1 // ancestor path + the line's MAC line
+}
+
+// Recover reconstructs the plaintext view of a post-crash NVM image the
+// way this design's firmware would, from the completed device writes.
+// The cost is zero for counter recovery; Osiris charges its checksum-
+// guided candidate search (the quantity the Anubis follow-on optimizes)
+// and tree recovery one MAC verification per line for its root walk.
+func (p Policy) Recover(cfg *config.Config, lay mem.Layout, enc *ctrenc.Engine,
 	writes map[mem.Addr]mem.Write) (*mem.Space, RecoveryCost) {
 
-	if p.stopLoss {
+	switch p.Recovery {
+	case OsirisRecovery:
 		return recoverOsiris(cfg, lay, enc, writes)
+	case TreeRecovery:
+		return recoverCounters(lay, enc, writes, true)
 	}
-	if p.integ && !p.wthru {
-		return recoverBMT(lay, enc, writes)
-	}
-	return recoverCounters(lay, enc, writes), RecoveryCost{}
+	return recoverCounters(lay, enc, writes, false)
 }
 
 // TreeDepth returns the number of interior Bonsai-Merkle-tree levels
@@ -220,13 +226,27 @@ func TreeDepth(cfg *config.Config) int {
 // image's counter region — stale or missing counters yield garbage,
 // exactly as on real hardware. A nil encryption engine (plaintext design)
 // copies lines verbatim.
+//
+// With verify it models Bonsai-Merkle-tree firmware: each decrypted line
+// is checked against the tree by re-walking its ancestor path to the
+// root (modeled through the persisted per-line checksum, the same
+// device-side integrity witness Osiris recovery uses). A line whose
+// check fails had a torn counter/tree path: it is reported unrecovered
+// and stays garbled, exactly what a root mismatch means on real
+// hardware. One trial is charged per line for the root walk's MAC
+// verification; without verify the cost is zero.
 func recoverCounters(lay mem.Layout, enc *ctrenc.Engine,
-	writes map[mem.Addr]mem.Write) *mem.Space {
+	writes map[mem.Addr]mem.Write, verify bool) (*mem.Space, RecoveryCost) {
 
 	space := mem.NewSpace()
+	var cost RecoveryCost
 	for addr, w := range writes {
 		if !lay.IsData(addr) {
 			continue
+		}
+		if verify {
+			cost.Lines++
+			cost.Trials++
 		}
 		if enc == nil {
 			space.WriteLine(addr, w.Data)
@@ -236,9 +256,13 @@ func recoverCounters(lay mem.Layout, enc *ctrenc.Engine,
 		if cl, ok := writes[lay.CounterLine(addr)]; ok {
 			ctr = ctrenc.UnpackCounterLine(cl.Data)[lay.CounterSlot(addr)]
 		}
-		space.WriteLine(addr, enc.Decrypt(w.Data, addr, ctr))
+		plain := enc.Decrypt(w.Data, addr, ctr)
+		if verify && ctrenc.Checksum(plain, addr) != w.Sum {
+			cost.Unrecovered++
+		}
+		space.WriteLine(addr, plain)
 	}
-	return space
+	return space, cost
 }
 
 // recoverOsiris reconstructs plaintext the way Osiris-style firmware
@@ -283,129 +307,97 @@ func recoverOsiris(cfg *config.Config, lay mem.Layout, enc *ctrenc.Engine,
 	return space, cost
 }
 
-// recoverBMT reconstructs plaintext the way Bonsai-Merkle-tree firmware
-// would: decrypt each data line with the counter persisted in the image,
-// then verify the result against the tree by re-walking the line's
-// ancestor path to the root (modeled through the persisted per-line
-// checksum, the same device-side integrity witness Osiris recovery
-// uses). A line whose verification fails had a torn counter/tree path:
-// it is reported unrecovered and stays garbled, exactly what a root
-// mismatch means on real hardware. One trial is charged per line for
-// the root walk's MAC verification.
-func recoverBMT(lay mem.Layout, enc *ctrenc.Engine,
-	writes map[mem.Addr]mem.Write) (*mem.Space, RecoveryCost) {
-
-	space := mem.NewSpace()
-	var cost RecoveryCost
-	for addr, w := range writes {
-		if !lay.IsData(addr) {
-			continue
-		}
-		cost.Lines++
-		cost.Trials++
-		if enc == nil {
-			space.WriteLine(addr, w.Data)
-			continue
-		}
-		var ctr uint64
-		if cl, ok := writes[lay.CounterLine(addr)]; ok {
-			ctr = ctrenc.UnpackCounterLine(cl.Data)[lay.CounterSlot(addr)]
-		}
-		plain := enc.Decrypt(w.Data, addr, ctr)
-		if ctrenc.Checksum(plain, addr) != w.Sum {
-			cost.Unrecovered++
-		}
-		space.WriteLine(addr, plain)
-	}
-	return space, cost
-}
-
-// The nine concrete engines: the paper's six (§6.1), the Osiris
+// The nine builtin policies: the paper's six (§6.1), the Osiris
 // extension, and the two integrity-tree designs.
 var (
 	// Plaintext is an NVMM system without any encryption.
-	Plaintext Engine = &policy{name: "noenc", design: config.NoEncryption,
-		dropCA: true, consistent: true}
+	Plaintext = Policy{Name: "noenc", Design: config.NoEncryption,
+		Atomicity: AtomicNever, CrashConsistent: true}
 	// Ideal coalesces counters freely and never orders their writebacks;
 	// ccwb emits traffic but the barrier does not wait for it — which is
 	// exactly why it disclaims crash consistency.
-	Ideal Engine = &policy{name: "ideal", design: config.Ideal,
-		enc: true, cache: true, sep: true, ccwbEmit: true}
+	Ideal = Policy{Name: "ideal", Design: config.Ideal,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		CounterWritebackEmits: true}
 	// CoLocated moves the counter with the data over a widened 72b bus;
 	// atomic by construction, serializing read + decrypt.
-	CoLocated Engine = &policy{name: "colocated", design: config.CoLocated,
-		enc: true, coloc: true, dropCA: true, consistent: true}
+	CoLocated = Policy{Name: "colocated", Design: config.CoLocated,
+		Encrypted: true, CoLocatesCounters: true, Atomicity: AtomicNever,
+		CrashConsistent: true}
 	// CoLocatedCC is CoLocated plus a counter cache, overlapping
 	// decryption of cached counters with the data fetch.
-	CoLocatedCC Engine = &policy{name: "colocatedcc", design: config.CoLocatedCC,
-		enc: true, cache: true, coloc: true, dropCA: true, consistent: true}
+	CoLocatedCC = Policy{Name: "colocatedcc", Design: config.CoLocatedCC,
+		Encrypted: true, UsesCounterCache: true, CoLocatesCounters: true,
+		Atomicity: AtomicNever, CrashConsistent: true}
 	// FCA enforces the ready-bit pairing protocol for every write, in
 	// strict FIFO acceptance order.
-	FCA Engine = &policy{name: "fca", design: config.FCA,
-		enc: true, cache: true, sep: true, fifo: true, pairs: true,
-		forceCA: true, ccwbEmit: true, ccwbWait: true, consistent: true}
+	FCA = Policy{Name: "fca", Design: config.FCA,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		FIFOAcceptance: true, PairsEveryWrite: true, Atomicity: AtomicAlways,
+		CounterWritebackEmits: true, CounterWritebackBlocks: true,
+		CrashConsistent: true}
 	// SCA pays the pairing protocol only for writes annotated
 	// CounterAtomic; everything else coalesces until a ccwb drains it.
-	SCA Engine = &policy{name: "sca", design: config.SCA,
-		enc: true, cache: true, sep: true, ccwbEmit: true, ccwbWait: true,
-		consistent: true}
+	SCA = Policy{Name: "sca", Design: config.SCA,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		CounterWritebackEmits: true, CounterWritebackBlocks: true,
+		CrashConsistent: true}
 	// Osiris recovers counters from per-line checksums within a
 	// stop-loss window; atomicity is never enforced and ccwb is a no-op.
-	Osiris Engine = &policy{name: "osiris", design: config.Osiris,
-		enc: true, cache: true, sep: true, dropCA: true, stopLoss: true,
-		consistent: true}
+	Osiris = Policy{Name: "osiris", Design: config.Osiris,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		Atomicity: AtomicNever, StopLoss: true, Recovery: OsirisRecovery,
+		CrashConsistent: true}
 	// BMT is SCA plus a persisted Bonsai Merkle tree: every counter
 	// write additionally carries the line's ancestor tree-node path and
 	// MAC into the counter write queue (Freij et al.'s streamlined tree
 	// update), so the fence that makes a counter durable makes its path
 	// durable too and V5 holds wherever V2 does.
-	BMT Engine = &policy{name: "bmt", design: config.BMT,
-		enc: true, cache: true, sep: true, ccwbEmit: true, ccwbWait: true,
-		integ: true, consistent: true}
+	BMT = Policy{Name: "bmt", Design: config.BMT,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		CounterWritebackEmits: true, CounterWritebackBlocks: true,
+		IntegrityProtected: true, Recovery: TreeRecovery, CrashConsistent: true}
 	// SecPM writes the combined counter+MAC metadata line through with
 	// every data write (Zuo et al.); the counter write queue's
 	// coalescing provides the paper's counter write coalescing. Crash
 	// consistent by construction: no annotations, no ordering
 	// primitives, no recovery search.
-	SecPM Engine = &policy{name: "secpm", design: config.SecPM,
-		enc: true, cache: true, sep: true, dropCA: true, integ: true,
-		wthru: true, consistent: true}
+	SecPM = Policy{Name: "secpm", Design: config.SecPM,
+		Encrypted: true, UsesCounterCache: true, SeparateCounterWrites: true,
+		Atomicity: AtomicNever, IntegrityProtected: true,
+		MetadataWriteThrough: true, CrashConsistent: true}
 )
 
-// byName indexes the built-in engines.
-var byName = map[string]Engine{}
+// builtins lists the builtin policies.
+var builtins = []*Policy{&Plaintext, &Ideal, &CoLocated, &CoLocatedCC, &FCA, &SCA, &Osiris, &BMT, &SecPM}
 
-func init() {
-	for _, e := range []Engine{Plaintext, Ideal, CoLocated, CoLocatedCC, FCA, SCA, Osiris, BMT, SecPM} {
-		byName[e.Name()] = e
+// ByName returns the builtin policy with the given registry name.
+func ByName(name string) (Policy, error) {
+	for _, p := range builtins {
+		if p.Name == name {
+			return *p, nil
+		}
 	}
+	return Policy{}, fmt.Errorf("engines: unknown metadata engine %q (valid: %v)", name, Names())
 }
 
-// ByName returns the built-in engine with the given registry name.
-func ByName(name string) (Engine, error) {
-	e, ok := byName[name]
-	if !ok {
-		return nil, fmt.Errorf("engines: unknown metadata engine %q (valid: %v)", name, Names())
-	}
-	return e, nil
-}
-
-// Names lists the built-in engine names, sorted.
+// Names lists the builtin policy names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(byName))
-	for n := range byName {
-		out = append(out, n)
+	out := make([]string, 0, len(builtins))
+	for _, p := range builtins {
+		out = append(out, p.Name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// ForDesign returns the engine implementing the given design enum value.
-func ForDesign(d config.Design) (Engine, error) {
-	for _, e := range byName {
-		if e.Design() == d {
-			return e, nil
+// ForDesign returns the builtin policy implementing the given design
+// enum value.
+func ForDesign(d config.Design) (Policy, error) {
+	for _, p := range builtins {
+		if p.Design == d {
+			return *p, nil
 		}
 	}
-	return nil, fmt.Errorf("engines: no metadata engine for design %v", d)
+	return Policy{}, fmt.Errorf("engines: no metadata engine for design %v", d)
 }

@@ -6,32 +6,47 @@ import (
 	"encnvm/internal/config"
 )
 
-// The policy table must reproduce the design predicates exactly — these
-// pairs were branch conditions in the controller before the refactor.
+// The policy table pins each design's counter placement. config keeps
+// CoLocatesCounters alone (the default bus width depends on it and
+// config cannot import this package), so it must agree with the policy.
 func TestPolicyTableMatchesDesignPredicates(t *testing.T) {
-	for _, d := range config.AllDesigns {
-		e, err := ForDesign(d)
+	cases := []struct {
+		d                              config.Design
+		enc, ccache, coloc, sepCounter bool
+	}{
+		{config.NoEncryption, false, false, false, false},
+		{config.Ideal, true, true, false, true},
+		{config.CoLocated, true, false, true, false},
+		{config.CoLocatedCC, true, true, true, false},
+		{config.FCA, true, true, false, true},
+		{config.SCA, true, true, false, true},
+		{config.Osiris, true, true, false, true},
+		{config.BMT, true, true, false, true},
+		{config.SecPM, true, true, false, true},
+	}
+	if len(cases) != len(Names()) {
+		t.Fatalf("%d cases for %d builtins", len(cases), len(Names()))
+	}
+	for _, c := range cases {
+		p, err := ForDesign(c.d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Design() != d {
-			t.Errorf("%s: Design() = %v, want %v", e.Name(), e.Design(), d)
+		if p.Design != c.d {
+			t.Errorf("%s: Design = %v, want %v", p.Name, p.Design, c.d)
 		}
-		if e.Encrypted() != d.Encrypted() {
-			t.Errorf("%s: Encrypted() = %v", e.Name(), e.Encrypted())
+		if p.Encrypted != c.enc || p.UsesCounterCache != c.ccache ||
+			p.CoLocatesCounters != c.coloc || p.SeparateCounterWrites != c.sepCounter {
+			t.Errorf("%s: enc=%v cc=%v coloc=%v sep=%v", p.Name,
+				p.Encrypted, p.UsesCounterCache, p.CoLocatesCounters, p.SeparateCounterWrites)
 		}
-		if e.UsesCounterCache() != d.UsesCounterCache() {
-			t.Errorf("%s: UsesCounterCache() = %v", e.Name(), e.UsesCounterCache())
+		if p.CoLocatesCounters != c.d.CoLocatesCounters() {
+			t.Errorf("%s: CoLocatesCounters = %v, config.Design says %v",
+				p.Name, p.CoLocatesCounters, c.d.CoLocatesCounters())
 		}
-		if e.CoLocatesCounters() != d.CoLocatesCounters() {
-			t.Errorf("%s: CoLocatesCounters() = %v", e.Name(), e.CoLocatesCounters())
-		}
-		if e.SeparateCounterWrites() != d.SeparateCounterWrites() {
-			t.Errorf("%s: SeparateCounterWrites() = %v", e.Name(), e.SeparateCounterWrites())
-		}
-		byName, err := ByName(e.Name())
-		if err != nil || byName.Design() != d {
-			t.Errorf("ByName(%q) does not round-trip (%v)", e.Name(), err)
+		byName, err := ByName(p.Name)
+		if err != nil || byName != p {
+			t.Errorf("ByName(%q) does not round-trip (%v)", p.Name, err)
 		}
 	}
 	if _, err := ForDesign(config.Design(99)); err == nil {
@@ -83,8 +98,8 @@ func TestCrashConsistencyClaims(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := name != "ideal"
-		if got := e.CrashConsistent(); got != want {
-			t.Errorf("%s: CrashConsistent() = %v, want %v", name, got, want)
+		if got := e.CrashConsistent; got != want {
+			t.Errorf("%s: CrashConsistent = %v, want %v", name, got, want)
 		}
 	}
 }
@@ -105,6 +120,34 @@ func TestStopLossLimit(t *testing.T) {
 		}
 		if got := e.StopLossLimit(cfg); got != want {
 			t.Errorf("%s: StopLossLimit = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// Tree-path writes are derived, not stated: only an integrity engine
+// whose metadata does not write through, and whose path is not dropped,
+// carries TreeDepth+1 extra lines per counter write.
+func TestTreePathWrites(t *testing.T) {
+	cfg := config.Default(config.BMT)
+	want := TreeDepth(cfg) + 1
+	for _, name := range Names() {
+		e, _ := ByName(name)
+		exp := 0
+		if name == "bmt" {
+			exp = want
+		}
+		if got := e.TreePathWrites(cfg); got != exp {
+			t.Errorf("%s: TreePathWrites = %d, want %d", name, got, exp)
+		}
+	}
+	for _, c := range []struct {
+		path TreePath
+		want int
+	}{{PathWithCounter, want}, {PathDropped, 0}, {PathUnordered, want}} {
+		p := BMT
+		p.TreePath = c.path
+		if got := p.TreePathWrites(cfg); got != c.want {
+			t.Errorf("TreePath %d: TreePathWrites = %d, want %d", c.path, got, c.want)
 		}
 	}
 }

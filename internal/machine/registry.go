@@ -78,7 +78,7 @@ func SpecForDesign(d config.Design) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ByName(meta.Name())
+	return ByName(meta.Name)
 }
 
 func init() {

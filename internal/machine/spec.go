@@ -110,7 +110,7 @@ func (s *Spec) Resolved() (*Spec, error) {
 	if out.Cores == 0 {
 		out.Cores = 1
 	}
-	def := config.Default(meta.Design()).WithCores(out.Cores)
+	def := config.Default(meta.Design).WithCores(out.Cores)
 	if out.L1Bytes == 0 {
 		out.L1Bytes = def.L1.SizeBytes
 	}
@@ -158,7 +158,7 @@ func (s *Spec) Config() (*config.Config, error) {
 		return nil, err
 	}
 	meta, _ := engines.ByName(r.Engine)
-	cfg := config.Default(meta.Design()).WithCores(r.Cores)
+	cfg := config.Default(meta.Design).WithCores(r.Cores)
 	cfg.L1.SizeBytes = r.L1Bytes
 	cfg.L2.SizeBytes = r.L2Bytes
 	cfg.CounterCache.SizeBytes = r.CounterCacheBytes
@@ -190,8 +190,8 @@ func SpecFromConfig(cfg *config.Config, backend nvm.Backend) (*Spec, error) {
 		backend = nvm.PCM
 	}
 	return &Spec{
-		Name:              meta.Name(),
-		Engine:            meta.Name(),
+		Name:              meta.Name,
+		Engine:            meta.Name,
 		Backend:           backend.Name(),
 		Cores:             cfg.NumCores,
 		L1Bytes:           cfg.L1.SizeBytes,

@@ -32,9 +32,9 @@ func TestBuiltinSpecsResolveToDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := config.Default(meta.Design()).WithCores(1)
+		want := config.Default(meta.Design).WithCores(1)
 		if !reflect.DeepEqual(cfg, want) {
-			t.Errorf("%s: resolved config differs from config.Default(%v)", name, meta.Design())
+			t.Errorf("%s: resolved config differs from config.Default(%v)", name, meta.Design)
 		}
 	}
 }

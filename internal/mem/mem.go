@@ -97,10 +97,12 @@ func (l Layout) DataLinesOf(cl Addr) [CountersPerLine]Addr {
 	return out
 }
 
-// Validate checks that a is inside the module.
+// Validate checks that a is a data-region address: below the counter
+// base, so the line has a counter slot and recovery decrypts it.
 func (l Layout) Validate(a Addr) error {
-	if uint64(a) >= l.Total {
-		return fmt.Errorf("mem: address %#x beyond capacity %#x", a, l.Total)
+	if !l.IsData(a) {
+		return fmt.Errorf("mem: address %#x beyond the data region (counter base %#x of %#x bytes)",
+			a, l.CounterBase, l.Total)
 	}
 	return nil
 }

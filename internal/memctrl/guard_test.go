@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// The controller's policy decisions all flow through the metadata engine
-// interface; the design enum and its predicates must never reappear in
+// The controller's policy decisions all come from its engines.Policy
+// value; the design enum and its predicates must never reappear in
 // this package's non-test sources. This pins the refactor: a new design
-// becomes a new engine, not a new branch here.
+// becomes a new Policy value, not a new branch here.
 func TestNoDesignBranchingInController(t *testing.T) {
 	entries, err := os.ReadDir(".")
 	if err != nil {
@@ -38,7 +38,7 @@ func TestNoDesignBranchingInController(t *testing.T) {
 			}
 			switch sel.Sel.Name {
 			case "Design", "Encrypted", "UsesCounterCache", "CoLocatesCounters", "SeparateCounterWrites":
-				// Engine-interface calls carry these names too; only
+				// Policy fields carry these names too; only
 				// flag selections rooted at the config package or at a
 				// config value (cfg, mc.cfg, ...).
 				var root string
@@ -58,51 +58,67 @@ func TestNoDesignBranchingInController(t *testing.T) {
 	}
 }
 
-// The engine's static predicates are compiled into the flat
-// engines.Policy at build time (mc.pol); the per-write paths must read
-// those fields, never call back through the MetadataEngine interface.
-// Only the dynamic hooks — WriteIsCounterAtomic (per-write input) and
-// Recover (post-crash) — may be invoked on mc.meta. This pins the
-// devirtualization: a new static predicate becomes a Policy field, not
-// an interface call in the hot path.
+// The design policy is one concrete value, never an interface: the
+// engines package declares no interface type, and the controller holds
+// its policy as an engines.Policy field, so every per-write decision is
+// a field read (or an inlinable method on the value) with no dynamic
+// dispatch. A new design becomes a new Policy value, not a new
+// implementation behind an interface.
 func TestHotPathFreeOfEngineInterfaceCalls(t *testing.T) {
-	allowed := map[string]bool{
-		"WriteIsCounterAtomic": true,
-		"Recover":              true,
-	}
-	entries, err := os.ReadDir(".")
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "../machine/engines", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+	if len(pkgs) == 0 {
+		t.Fatal("no engines package sources found")
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					if _, iface := ts.Type.(*ast.InterfaceType); iface {
+						t.Errorf("%s: engines declares interface %s — design policy must stay one concrete Policy value",
+							fset.Position(ts.Pos()), ts.Name.Name)
+					}
+				}
+				return true
+			})
 		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			// A call on the engine field looks like <recv>.meta.<Method>(...).
-			recv, ok := sel.X.(*ast.SelectorExpr)
-			if !ok || recv.Sel.Name != "meta" {
-				return true
-			}
-			if !allowed[sel.Sel.Name] {
-				t.Errorf("%s: meta.%s() — static predicates must be read from the compiled Policy (mc.pol)",
-					fset.Position(sel.Pos()), sel.Sel.Name)
-			}
+	}
+
+	f, err := parser.ParseFile(fset, "memctrl.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "Controller" {
 			return true
-		})
+		}
+		for _, fld := range ts.Type.(*ast.StructType).Fields.List {
+			sel, ok := fld.Type.(*ast.SelectorExpr)
+			if !ok {
+				continue
+			}
+			pkg, _ := sel.X.(*ast.Ident)
+			if pkg == nil || pkg.Name != "engines" {
+				continue
+			}
+			for _, name := range fld.Names {
+				fields = append(fields, name.Name)
+				if sel.Sel.Name != "Policy" {
+					t.Errorf("%s: Controller.%s has type engines.%s, want engines.Policy",
+						fset.Position(fld.Pos()), name.Name, sel.Sel.Name)
+				}
+			}
+		}
+		return false
+	})
+	if len(fields) != 1 {
+		t.Errorf("Controller holds engines-typed fields %v, want exactly one engines.Policy", fields)
 	}
 }

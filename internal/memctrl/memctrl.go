@@ -3,13 +3,13 @@
 // write queue, a counter write queue, and the counter-atomicity protocol
 // that guarantees a data line and its encryption counter persist together.
 //
-// The evaluated designs differ only in policy, and the controller holds
+// The evaluated designs differ only in policy, and the controller states
 // none of it: every design decision — counter placement, atomicity,
-// acceptance order, writeback behavior — is delegated to the
-// machine/engines.Engine it is built with. The controller owns the
+// acceptance order, writeback behavior — is a field of the
+// machine/engines.Policy value it is built with. The controller owns the
 // mechanism (queues, counter cache, encryption pipeline, issue
-// scheduling); the engine answers the policy questions. Adding a design
-// means implementing the engine interface, not editing this package.
+// scheduling); the policy answers the design questions. Adding a design
+// means adding a Policy value, not editing this package.
 //
 // Counter-atomicity protocol: a CA write is accepted only when the data
 // write queue and the counter write queue both have a free entry; both
@@ -83,17 +83,16 @@ type writeReq struct {
 
 // Controller is the memory controller for one simulated system.
 type Controller struct {
-	eng  *sim.Engine
-	cfg  *config.Config
-	meta engines.Engine // design policy: the dynamic hooks (WriteIsCounterAtomic, Recover)
-	// pol is the engine's static policy compiled to a flat struct at
-	// build time: the per-write paths read these fields instead of
-	// making interface calls (the devirtualization of ROADMAP item 2).
-	// The guard test pins the hot path to pol; only the dynamic hooks
-	// may go through meta.
+	eng *sim.Engine
+	cfg *config.Config
+	// pol is the design policy, held by value: the per-write paths read
+	// its fields directly. The guard test pins it to engines.Policy.
 	pol engines.Policy
-	dev *nvm.Device
-	st  *stats.Stats
+	// stopLossLimit is pol.StopLossLimit resolved against cfg at build;
+	// negative disables the stop-loss rule.
+	stopLossLimit int
+	dev           *nvm.Device
+	st            *stats.Stats
 
 	layout mem.Layout
 	enc    *ctrenc.Engine
@@ -146,38 +145,38 @@ type Controller struct {
 	readWaiters   []func()
 
 	// stopLossLag counts, per data line, writes since the line's counter
-	// last headed to NVM; nil unless the engine enforces a stop-loss rule.
+	// last headed to NVM; nil unless the policy enforces a stop-loss rule.
 	stopLossLag map[mem.Addr]int
 
 	// treeExtraBytes widens every fresh counter-queue entry by the
-	// engine's integrity-tree path (ancestor tree nodes + MAC line, BMT):
+	// policy's integrity-tree path (ancestor tree nodes + MAC line, BMT):
 	// the path travels with the counter write, so coalescing a counter
 	// write coalesces its path too — Freij-style streamlined tree
 	// updates. Zero for engines without a persisted tree.
 	treeExtraBytes int
 }
 
-// New builds a controller over the given device, with the given metadata
-// engine supplying every design decision.
-func New(eng *sim.Engine, cfg *config.Config, meta engines.Engine, dev *nvm.Device, st *stats.Stats) *Controller {
+// New builds a controller over the given device, with the given design
+// policy supplying every design decision.
+func New(eng *sim.Engine, cfg *config.Config, pol engines.Policy, dev *nvm.Device, st *stats.Stats) *Controller {
 	mc := &Controller{
-		eng:    eng,
-		cfg:    cfg,
-		meta:   meta,
-		pol:    engines.Compile(meta, cfg),
-		dev:    dev,
-		st:     st,
-		layout: dev.Layout(),
-		ctrs:   ctrenc.NewCounters(),
+		eng:            eng,
+		cfg:            cfg,
+		pol:            pol,
+		stopLossLimit:  pol.StopLossLimit(cfg),
+		treeExtraBytes: cfg.LineBytes * pol.TreePathWrites(cfg),
+		dev:            dev,
+		st:             st,
+		layout:         dev.Layout(),
+		ctrs:           ctrenc.NewCounters(),
 	}
-	mc.treeExtraBytes = cfg.LineBytes * mc.pol.TreePathWrites
-	if mc.pol.Encrypted {
+	if pol.Encrypted {
 		mc.enc = ctrenc.NewDefault()
 	}
-	if mc.pol.UsesCounterCache {
+	if pol.UsesCounterCache {
 		mc.ctrC = cache.New(cfg.CounterCache)
 	}
-	if mc.pol.StopLossLimit >= 0 {
+	if mc.stopLossLimit >= 0 {
 		mc.stopLossLag = make(map[mem.Addr]int)
 	}
 	// Pre-size the queues to their configured capacities and carve the
@@ -291,9 +290,6 @@ func (mc *Controller) pushCounter(e *entry) {
 	}
 	mc.counterQ = append(mc.counterQ, e)
 }
-
-// Meta returns the metadata engine the controller was built with.
-func (mc *Controller) Meta() engines.Engine { return mc.meta }
 
 // Counters exposes the authoritative per-line counter state (the values
 // most recently used for encryption) for the crash harness and recovery.
@@ -450,14 +446,14 @@ func (mc *Controller) findWrite(addr mem.Addr) bool {
 // Write path
 
 // Write writes back the plaintext line at addr. ca marks a store to a
-// CounterAtomic variable; the engine decides the write's final atomicity
+// CounterAtomic variable; the policy decides the write's final atomicity
 // (FCA forces it for every write, co-located and checksum-recovery
 // engines never enforce it). accepted fires when the write's persistence
 // is guaranteed (entered the ADR domain, with its counter where the
 // design requires one).
 func (mc *Controller) Write(addr mem.Addr, plain mem.Line, ca bool, accepted func()) {
 	addr = addr.LineAddr()
-	ca = mc.meta.WriteIsCounterAtomic(ca)
+	ca = mc.pol.WriteIsCounterAtomic(ca)
 	if ca {
 		mc.st.Inc(stats.CAWrites, 1)
 	} else {
@@ -923,8 +919,8 @@ func (mc *Controller) retire(isData bool) {
 	mc.tryAccept()
 }
 
-// stopLoss enforces the engine's stop-loss rule (Osiris): a data line's
-// counter heads to NVM after at most StopLossLimit consecutive rewrites,
+// stopLoss enforces the policy's stop-loss rule (Osiris): a data line's
+// counter heads to NVM after at most stopLossLimit consecutive rewrites,
 // bounding recovery's candidate-counter search. The counter write is a
 // normal lazy queue entry (no ordering waits) and resets the lag of every
 // line its counter line covers.
@@ -934,7 +930,7 @@ func (mc *Controller) stopLoss(addr mem.Addr, cryptoDelay sim.Time) {
 	}
 	line := addr.LineAddr()
 	mc.stopLossLag[line]++
-	if mc.stopLossLag[line] < mc.pol.StopLossLimit {
+	if mc.stopLossLag[line] < mc.stopLossLimit {
 		return
 	}
 	cl := mc.layout.CounterLine(line)

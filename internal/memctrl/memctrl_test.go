@@ -58,7 +58,7 @@ func (r *rig) decryptFromImage(addr mem.Addr) (mem.Line, bool) {
 	if !ok {
 		return mem.Line{}, false
 	}
-	if !r.cfg.Design.Encrypted() {
+	if r.mc.Encryption() == nil {
 		return ct, true
 	}
 	cl, _ := r.dev.Image().Read(r.mc.Layout().CounterLine(addr))
@@ -82,7 +82,7 @@ func TestWriteLandsEncrypted(t *testing.T) {
 			if !ok {
 				t.Fatal("write never reached the image")
 			}
-			if d.Encrypted() && ct == plain {
+			if r.mc.Encryption() != nil && ct == plain {
 				t.Fatal("data stored in plaintext under an encrypted design")
 			}
 			got, ok := r.decryptFromImage(0x1000)

@@ -92,10 +92,3 @@ func (pw *ProgressWriter) Close() error {
 	}
 	return pw.enc.Encode(rec)
 }
-
-// RunnerProgress returns a bare per-cell progress sink with no summary
-// record, for callers that do not control the stream's end. Prefer
-// NewProgress, whose Close makes the stream self-describing.
-func RunnerProgress(w io.Writer) func(runner.Progress) {
-	return NewProgress(w).OnDone
-}

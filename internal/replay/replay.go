@@ -18,6 +18,7 @@ import (
 	"encnvm/internal/cache"
 	"encnvm/internal/config"
 	"encnvm/internal/machine"
+	"encnvm/internal/machine/engines"
 	"encnvm/internal/mem"
 	"encnvm/internal/memctrl"
 	"encnvm/internal/nvm"
@@ -34,7 +35,7 @@ type System struct {
 	St   *stats.Stats
 	Dev  *nvm.Device
 	MC   *memctrl.Controller
-	Meta machine.MetadataEngine
+	Meta engines.Policy
 	Spec *machine.Spec // fully-resolved machine description
 
 	l2    *cache.Cache
@@ -103,17 +104,11 @@ var txStageNames = [...]string{"log", "log-seal", "mutate", "commit-switch"}
 // must equal cfg.NumCores. The machine is assembled through the builder
 // (machine.FromConfig): PCM backend, engine chosen by cfg.Design.
 func New(cfg *config.Config, traces []*trace.Trace) (*System, error) {
-	return NewSources(cfg, trace.Sources(traces))
-}
-
-// NewSources is New over trace cursors: the path that replays binary
-// trace files without materializing []trace.Op.
-func NewSources(cfg *config.Config, srcs []trace.Source) (*System, error) {
 	m, err := machine.FromConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return NewMachineSources(m, srcs)
+	return NewMachineSources(m, trace.Sources(traces))
 }
 
 // NewSpec builds a system for a declarative machine spec — the path that
@@ -131,13 +126,8 @@ func NewSpecSources(spec *machine.Spec, srcs []trace.Source) (*System, error) {
 	return NewMachineSources(m, srcs)
 }
 
-// NewMachine attaches replay cores to an assembled machine. len(traces)
-// must equal the machine's core count.
-func NewMachine(m *machine.Machine, traces []*trace.Trace) (*System, error) {
-	return NewMachineSources(m, trace.Sources(traces))
-}
-
-// NewMachineSources attaches replay cores that iterate trace cursors.
+// NewMachineSources attaches replay cores that iterate trace cursors to
+// an assembled machine. len(srcs) must equal the machine's core count.
 // Every source is validated (BinReader validates at construction and
 // reports nil here), and the source lengths pre-size the event queue,
 // the device write log, and the per-transaction history so the replay
