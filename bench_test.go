@@ -326,10 +326,11 @@ func BenchmarkReplayObserved(b *testing.B) {
 
 // BenchmarkCrashCampaign measures the per-op crash-point campaign in
 // both modes on one workload: the pruned/exhaustive ns gap is the
-// payoff of the static crash-equivalence analysis, and the reported
-// injection count is the work it avoided. Allocation figures are
-// machine-independent (deterministic workload), so the CI campaign job
-// gates them against the checked-in BENCH_pr8.json.
+// payoff of the static crash-equivalence analysis, the reported
+// injection count is the work it avoided, and injections/s is the
+// campaign's throughput. Allocation figures are machine-independent
+// (deterministic workload), so the CI campaign job gates them against
+// the checked-in BENCH_pr13.json.
 func BenchmarkCrashCampaign(b *testing.B) {
 	spec, err := machine.ByName("sca")
 	if err != nil {
@@ -353,6 +354,7 @@ func BenchmarkCrashCampaign(b *testing.B) {
 			}
 			b.ReportMetric(float64(rep.Simulated), "injections")
 			b.ReportMetric(100*rep.PrunedFraction, "pruned_%")
+			b.ReportMetric(float64(rep.Simulated)*float64(b.N)/b.Elapsed().Seconds(), "injections/s")
 		})
 	}
 }

@@ -9,9 +9,10 @@
 //	crashtest -campaign [-exhaustive] [-validate-classes K] [-checkpoint f.jsonl] [-resume]
 //	crashtest -schedule counterexample.json
 //
-// Crash points are independent injections (each builds its own engine
-// over the shared read-only traces), so sweeps fan out over -j workers
-// (default GOMAXPROCS); the report is identical for every -j.
+// Sweeps fan out over -j workers (default GOMAXPROCS). Each worker takes
+// a contiguous run of the ascending crash points and one machine, which
+// replays the shared read-only traces once and is judged at each of its
+// points on the way; the report is identical for every -j.
 //
 // With -campaign the sweep covers the per-op crash-point space (every
 // gap between retired ops) instead of the evenly-spaced grid, pruned by
@@ -69,7 +70,7 @@ func main() {
 	items := flag.Int("items", 128, "initial structure population")
 	ops := flag.Int("ops", 48, "operations per core")
 	seed := flag.Int64("seed", 42, "workload RNG seed")
-	jobs := flag.Int("j", 0, "concurrent crash-point injections; <= 0 means GOMAXPROCS")
+	jobs := flag.Int("j", 0, "workers, each replaying once through a contiguous run of crash points; <= 0 means GOMAXPROCS")
 	campaign := flag.Bool("campaign", false, "sweep the per-op crash-point space (class-pruned; see -exhaustive)")
 	exhaustive := flag.Bool("exhaustive", false, "campaign: simulate every gap instead of class representatives")
 	validateClasses := flag.Int("validate-classes", 0, "campaign: re-simulate up to K members per class, fail on divergence")

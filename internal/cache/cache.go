@@ -37,9 +37,12 @@ func New(cfg config.CacheConfig) *Cache {
 	if n <= 0 || cfg.SizeBytes%(cfg.Ways*cfg.LineBytes) != 0 {
 		panic(fmt.Sprintf("cache: bad geometry %+v", cfg))
 	}
+	// One backing array for every set: a machine build allocates each
+	// cache once, not once per set.
+	ways := make([]way, n*cfg.Ways)
 	sets := make([][]way, n)
 	for i := range sets {
-		sets[i] = make([]way, cfg.Ways)
+		sets[i] = ways[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return &Cache{cfg: cfg, sets: sets}
 }

@@ -27,6 +27,14 @@
 // representative's verdict is attributed to every gap in the cell.
 // -validate-classes re-simulates sampled non-representative members and
 // fails loudly if any diverges from its representative.
+//
+// # One pass per worker
+//
+// Cells tile the gap space in order and validation members lie inside
+// their cell, so walking the cells in order visits deadlines in
+// ascending order. Each worker takes a contiguous run of cells and one
+// machine that replays the trace forward once, judging every deadline
+// on the way from a read-only crash image (see the package comment).
 package crash
 
 import (
@@ -167,6 +175,9 @@ type CampaignRun struct {
 	// NewlySimulated counts cells simulated by this call — resumed
 	// cells excluded — so tests can assert a resume skipped work.
 	NewlySimulated int
+	// ReplayEvents counts the simulation events the injecting machines
+	// executed, at most Workers full replays of the trace.
+	ReplayEvents uint64
 }
 
 // campaignHeader is the checkpoint's first JSONL record: the campaign
@@ -275,44 +286,42 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	if opts.Pruned {
 		mode = ModePruned
 	}
-	header := campaignHeader{
-		Schema:          CheckpointSchema,
-		Spec:            spec.Name,
-		Design:          cfg.Design.String(),
-		Workload:        w.Name(),
-		Mode:            mode,
-		Seed:            p.Seed,
-		Items:           p.Items,
-		Ops:             p.Ops,
-		OpsPerTx:        p.OpsPerTx,
-		ComputeCycles:   p.ComputeCycles,
-		TxMode:          p.TxMode,
-		Legacy:          p.Legacy,
-		ValidateMembers: opts.ValidateMembers,
-		ValidateSeed:    opts.ValidateSeed,
-		Cells:           len(cells),
-		PartitionHash:   part.Hash(),
-		TimelineHash:    timelineHash(deadlines, epochs),
-	}
 
+	// The checkpoint header, and with it the partition hash, exists
+	// only when a checkpoint is read or written.
 	done := map[int]CellRecord{}
-	if opts.Resume {
-		if opts.CheckpointPath == "" {
-			return nil, fmt.Errorf("crash: resume needs a checkpoint path")
-		}
-		done, err = loadCheckpoint(opts.CheckpointPath, header)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	var (
 		ckf *os.File
 		ckw *bufio.Writer
 	)
+	if opts.Resume && opts.CheckpointPath == "" {
+		return nil, fmt.Errorf("crash: resume needs a checkpoint path")
+	}
 	if opts.CheckpointPath != "" {
+		header := campaignHeader{
+			Schema:          CheckpointSchema,
+			Spec:            spec.Name,
+			Design:          cfg.Design.String(),
+			Workload:        w.Name(),
+			Mode:            mode,
+			Seed:            p.Seed,
+			Items:           p.Items,
+			Ops:             p.Ops,
+			OpsPerTx:        p.OpsPerTx,
+			ComputeCycles:   p.ComputeCycles,
+			TxMode:          p.TxMode,
+			Legacy:          p.Legacy,
+			ValidateMembers: opts.ValidateMembers,
+			ValidateSeed:    opts.ValidateSeed,
+			Cells:           len(cells),
+			PartitionHash:   part.Hash(),
+			TimelineHash:    timelineHash(deadlines, epochs),
+		}
 		flags := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
 		if opts.Resume {
+			if done, err = loadCheckpoint(opts.CheckpointPath, header); err != nil {
+				return nil, err
+			}
 			flags = os.O_WRONLY | os.O_APPEND
 		}
 		ckf, err = os.OpenFile(opts.CheckpointPath, flags, 0o644)
@@ -345,13 +354,15 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
+	// Cells in order are deadlines in order (see "One pass per worker").
 	ps := perf.Begin("campaign-sweep")
-	rs := runner.Map(ctx, cells,
-		func(ctx context.Context, c campaignCell) (CellRecord, error) {
+	rs, events := walk(ctx, cells,
+		func() (*replay.System, error) { return replay.NewSpec(spec, traces) }, w, traces,
+		func(wk *walker, c campaignCell) (CellRecord, error) {
 			if rec, ok := done[c.Index]; ok {
 				return rec, nil // resumed: checkpointed by a previous run
 			}
-			res, err := InjectSpecAt(spec, w, traces, deadlines[c.Rep])
+			res, err := wk.injectAt(deadlines[c.Rep])
 			if err != nil {
 				return CellRecord{}, err
 			}
@@ -369,7 +380,7 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 				Osiris:           res.Osiris,
 			}
 			for _, g := range pickMembers(opts.ValidateSeed, c, opts.ValidateMembers) {
-				mres, err := InjectSpecAt(spec, w, traces, deadlines[g])
+				mres, err := wk.injectAt(deadlines[g])
 				if err != nil {
 					return rec, err
 				}
@@ -433,6 +444,7 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	}
 	run := buildRun(cfg.Design, w.Name(), mode, part.Classes, cells, recs, deadlines)
 	run.NewlySimulated = newly
+	run.ReplayEvents = events
 	return run, nil
 }
 

@@ -116,39 +116,36 @@ func TestCampaignValidateClasses(t *testing.T) {
 
 // A halted campaign must resume from its checkpoint and reproduce the
 // uninterrupted run's reports byte for byte, without re-simulating
-// completed cells.
+// completed cells — whether it was killed after the first cell, a few,
+// or all but one.
 func TestCampaignKillAndResume(t *testing.T) {
 	t.Parallel()
 	spec := campaignSpec(t, "sca")
 	w := &workloads.Queue{}
-	full, err := RunCampaign(spec, w, campaignParams,
-		CampaignOptions{Pruned: true, ValidateMembers: 1})
+	opts := CampaignOptions{Workers: 2, Pruned: true, ValidateMembers: 1}
+	full, err := RunCampaign(spec, w, campaignParams, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ck := filepath.Join(t.TempDir(), "campaign.jsonl")
-	_, err = RunCampaign(spec, w, campaignParams, CampaignOptions{
-		Pruned: true, ValidateMembers: 1,
-		CheckpointPath: ck, CheckpointEvery: 2, HaltAfter: 3,
-	})
-	if !errors.Is(err, ErrCampaignHalted) {
-		t.Fatalf("halted run returned %v, want ErrCampaignHalted", err)
-	}
-
-	resumed, err := RunCampaign(spec, w, campaignParams, CampaignOptions{
-		Pruned: true, ValidateMembers: 1,
-		CheckpointPath: ck, Resume: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.NewlySimulated >= full.Report.Cells {
-		t.Errorf("resume re-simulated everything: %d new of %d cells",
-			resumed.NewlySimulated, full.Report.Cells)
-	}
-	if got, want := marshalRun(t, resumed), marshalRun(t, full); got != want {
-		t.Errorf("resumed reports differ from uninterrupted run:\n%s\nvs\n%s", got, want)
+	cells := full.Report.Cells
+	for _, halt := range []int{1, 3, cells - 1} {
+		o := opts
+		o.CheckpointPath = filepath.Join(t.TempDir(), "campaign.jsonl")
+		o.CheckpointEvery, o.HaltAfter = 2, halt
+		if _, err := RunCampaign(spec, w, campaignParams, o); !errors.Is(err, ErrCampaignHalted) {
+			t.Fatalf("halt after %d: %v, want ErrCampaignHalted", halt, err)
+		}
+		o.CheckpointEvery, o.HaltAfter, o.Resume = 0, 0, true
+		resumed, err := RunCampaign(spec, w, campaignParams, o)
+		if err != nil {
+			t.Fatalf("resume after %d: %v", halt, err)
+		}
+		if resumed.NewlySimulated > cells-halt {
+			t.Errorf("resume after %d re-simulated %d of %d cells", halt, resumed.NewlySimulated, cells)
+		}
+		if got, want := marshalRun(t, resumed), marshalRun(t, full); got != want {
+			t.Errorf("resume after %d differs from the uninterrupted run:\n%s\nvs\n%s", halt, got, want)
+		}
 	}
 }
 

@@ -11,6 +11,16 @@
 // the undo-log recovery, and validate the workload's structural
 // invariants.
 //
+// Sweeps and campaigns build each crash image without changing the
+// machine: Image().SnapshotWritesAt(T) with the controller's ADROverlay(T)
+// laid over it. A machine can therefore stop at one crash instant,
+// be judged, and replay on to the next. Each worker owns one machine and
+// a contiguous run of ascending crash instants, so it replays the trace
+// at most once, however many points it checks. InjectAt and
+// InjectSpecAt keep the single-shot path — a fresh machine, RunUntil,
+// then the mutating, terminal DrainADR — which the one-pass walk is
+// tested against.
+//
 // Designs with counter-atomicity (FCA, SCA, the co-located pair) must
 // survive every crash point; the Ideal design — counter-mode encryption
 // with no counter-atomicity — demonstrably does not.
@@ -19,6 +29,7 @@ package crash
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"encnvm/internal/config"
 	"encnvm/internal/ctrenc"
@@ -237,23 +248,87 @@ func InjectSpecAt(spec *machine.Spec, w workloads.Workload, traces []*trace.Trac
 	return injectSys(sys, w, traces, at)
 }
 
-// injectSys crashes an unstarted system at the given instant and runs the
-// design's recovery — delegated to the machine's metadata engine — plus
-// validation for every core's arena.
+// injectSys crashes an unstarted system at the given instant, drains
+// the ADR domain into its image (terminal: the system is spent), and
+// judges the result.
 func injectSys(sys *replay.System, w workloads.Workload, traces []*trace.Trace,
 	at sim.Time) (Result, error) {
 
 	rr := perf.Begin("replay")
 	t := sys.RunUntil(at)
-	sys.MC.DrainADR(t)
 	rr.End()
+	rs := perf.Begin("snapshot")
+	sys.MC.DrainADR(t)
+	writes := sys.Dev.Image().SnapshotWritesAt(t)
+	rs.End()
+	return judge(sys, w, traces, t, writes)
+}
+
+// walker is one worker's machine in a one-pass sweep: it replays the
+// traces forward once, stopping at each crash deadline in ascending
+// order, and builds each crash image without changing the machine.
+type walker struct {
+	sys    *replay.System
+	w      workloads.Workload
+	traces []*trace.Trace
+	events *atomic.Uint64 // replay events, summed over a sweep's walkers
+}
+
+// injectAt advances the replay to at — which must not precede the
+// previous deadline — and judges a power failure there: the device
+// writes completed by t with the ADR overlay laid over them.
+func (wk *walker) injectAt(at sim.Time) (Result, error) {
+	rr := perf.Begin("replay")
+	before := wk.sys.Eng.Steps()
+	t := wk.sys.RunUntil(at)
+	wk.events.Add(wk.sys.Eng.Steps() - before)
+	rr.End()
+	rs := perf.Begin("snapshot")
+	writes := wk.sys.Dev.Image().SnapshotWritesAt(t)
+	for _, wr := range wk.sys.MC.ADROverlay(t) {
+		writes[wr.Line] = wr
+	}
+	rs.End()
+	return judge(wk.sys, wk.w, wk.traces, t, writes)
+}
+
+// walk injects at every deadline with one machine per worker: the
+// jobs, whose deadlines ascend in job order, are split into contiguous
+// runs, and each run's machine replays the traces at most once
+// (runner.MapRuns). job(wk, j) produces job j's value, injecting at its
+// own deadlines in ascending order. Results are in job order and
+// identical for every worker count, because a crash image depends only
+// on its instant. walk also returns the replay events its machines
+// executed.
+func walk[T, R any](ctx context.Context, jobs []T, build func() (*replay.System, error),
+	w workloads.Workload, traces []*trace.Trace,
+	job func(wk *walker, j T) (R, error), opts runner.Options) ([]runner.Result[R], uint64) {
+
+	var events atomic.Uint64
+	rs := runner.MapRuns(ctx, jobs,
+		func() (*walker, error) {
+			sys, err := build()
+			if err != nil {
+				return nil, err
+			}
+			return &walker{sys: sys, w: w, traces: traces, events: &events}, nil
+		},
+		func(_ context.Context, wk *walker, j T) (R, error) { return job(wk, j) },
+		opts)
+	return rs, events.Load()
+}
+
+// judge runs the design's recovery — delegated to the machine's
+// metadata engine — over the crash image writes taken at t, plus
+// validation for every core's arena. It only reads sys.
+func judge(sys *replay.System, w workloads.Workload, traces []*trace.Trace,
+	t sim.Time, writes map[mem.Addr]mem.Write) (Result, error) {
 
 	res := Result{
 		CrashAt:          t,
 		LostCounterLines: len(sys.MC.DirtyCounterLines()),
 	}
 	rc := perf.Begin("recover")
-	writes := sys.Dev.Image().SnapshotWritesAt(t)
 	var space *mem.Space
 	space, res.Osiris = sys.Meta.Recover(sys.Cfg, sys.MC.Layout(), sys.MC.Encryption(), writes)
 	oracle := decryptOracle(sys.MC.Layout(), sys.MC.Encryption(), writes)
@@ -303,17 +378,52 @@ func Sweep(cfg *config.Config, w workloads.Workload, p workloads.Params, n int) 
 }
 
 // SweepJ is Sweep with an explicit parallelism degree (workers <= 0 uses
-// GOMAXPROCS, 1 is the sequential loop). Every crash point is an
-// independent injection: InjectAt builds a fresh system — engine,
-// controller, device — per point over the shared read-only traces, and
-// each cell clones the Config since simulation instances are not
-// goroutine-safe. Results are collected in crash-point order, so the
+// GOMAXPROCS, 1 is the sequential loop). The crash points are split into
+// one contiguous run per worker, and each worker's machine — built from
+// its own clone of cfg, since simulation instances are not goroutine-
+// safe — replays the shared read-only traces once, stopping at each of
+// its points in turn. Results are collected in crash-point order, so the
 // report is identical to the sequential sweep's for every degree.
 func SweepJ(cfg *config.Config, w workloads.Workload, p workloads.Params, n, workers int) (Report, error) {
-	rep := Report{Design: cfg.Design, Workload: w.Name(), Mode: ModeGrid}
 	traces := BuildTraces(w, p, cfg.NumCores)
+	return gridSweep(cfg.Design, cfg.Design.String(), w, traces, n, workers, nil,
+		func() (*replay.System, error) {
+			cc := *cfg // own Config per machine
+			return replay.New(&cc, traces)
+		})
+}
 
-	probe, err := replay.New(cfg, traces)
+// SweepSpecJ is SweepJ over a declarative machine spec, so custom
+// machines (non-default sizing, the DRAM backend, future engines) run
+// through the crash harness unchanged. Each worker builds its own
+// system from the spec, which is read-only throughout.
+func SweepSpecJ(spec *machine.Spec, w workloads.Workload, p workloads.Params,
+	n, workers int) (Report, error) {
+	return SweepSpecJObserved(spec, w, p, n, workers, nil)
+}
+
+// SweepSpecJObserved is SweepSpecJ with a per-point completion sink
+// (runner.Options.OnDone) attached, so front ends can stream progress
+// or aggregate host-side fleet statistics. A nil onDone is SweepSpecJ.
+func SweepSpecJObserved(spec *machine.Spec, w workloads.Workload, p workloads.Params,
+	n, workers int, onDone func(runner.Progress)) (Report, error) {
+
+	cfg, err := spec.Config()
+	if err != nil {
+		return Report{}, err
+	}
+	traces := BuildTraces(w, p, cfg.NumCores)
+	return gridSweep(cfg.Design, spec.Name, w, traces, n, workers, onDone,
+		func() (*replay.System, error) { return replay.NewSpec(spec, traces) })
+}
+
+// gridSweep is the one grid-sweep body: probe the execution window on
+// one machine from build, then walk n+1 crash points over it.
+func gridSweep(design config.Design, name string, w workloads.Workload, traces []*trace.Trace,
+	n, workers int, onDone func(runner.Progress), build func() (*replay.System, error)) (Report, error) {
+
+	rep := Report{Design: design, Workload: w.Name(), Mode: ModeGrid}
+	probe, err := build()
 	if err != nil {
 		return rep, err
 	}
@@ -330,73 +440,15 @@ func SweepJ(cfg *config.Config, w workloads.Workload, p workloads.Params, n, wor
 	}
 	points = append(points, end)
 
-	rs := runner.Map(context.Background(), points,
-		func(_ context.Context, at sim.Time) (Result, error) {
-			cc := *cfg // own Config per cell
-			return InjectAt(&cc, w, traces, at)
-		},
-		runner.Options{Workers: workers, Label: func(i int) string {
-			return fmt.Sprintf("sweep/%s/%s/point%d", cfg.Design, w.Name(), i)
+	rs, _ := walk(context.Background(), points, build, w, traces,
+		func(wk *walker, at sim.Time) (Result, error) { return wk.injectAt(at) },
+		runner.Options{Workers: workers, OnDone: onDone, Label: func(i int) string {
+			return fmt.Sprintf("sweep/%s/%s/point%d", name, w.Name(), i)
 		}})
 	for _, r := range rs {
 		if r.Err != nil {
 			// Match the sequential contract: the report carries the
 			// results before the first failing point, plus its error.
-			return rep, r.Err
-		}
-		rep.Results = append(rep.Results, r.Value)
-	}
-	rep.CrashPoints = len(rep.Results)
-	rep.Simulated = len(rep.Results)
-	return rep, nil
-}
-
-// SweepSpecJ is SweepJ over a declarative machine spec, so custom
-// machines (non-default sizing, the DRAM backend, future engines) run
-// through the crash harness unchanged. Each crash point builds its own
-// system from the spec, which is read-only throughout.
-func SweepSpecJ(spec *machine.Spec, w workloads.Workload, p workloads.Params,
-	n, workers int) (Report, error) {
-	return SweepSpecJObserved(spec, w, p, n, workers, nil)
-}
-
-// SweepSpecJObserved is SweepSpecJ with a per-cell completion sink
-// (runner.Options.OnDone) attached, so front ends can stream progress
-// or aggregate host-side fleet statistics. A nil onDone is SweepSpecJ.
-func SweepSpecJObserved(spec *machine.Spec, w workloads.Workload, p workloads.Params,
-	n, workers int, onDone func(runner.Progress)) (Report, error) {
-
-	cfg, err := spec.Config()
-	if err != nil {
-		return Report{}, err
-	}
-	rep := Report{Design: cfg.Design, Workload: w.Name(), Mode: ModeGrid}
-	traces := BuildTraces(w, p, cfg.NumCores)
-
-	probe, err := replay.NewSpec(spec, traces)
-	if err != nil {
-		return rep, err
-	}
-	end := probe.Run()
-	if end == 0 {
-		return rep, fmt.Errorf("crash: empty run")
-	}
-
-	points := make([]sim.Time, 0, n+1)
-	for i := 0; i < n; i++ {
-		points = append(points, sim.Time(uint64(end)*uint64(i)/uint64(n)))
-	}
-	points = append(points, end)
-
-	rs := runner.Map(context.Background(), points,
-		func(_ context.Context, at sim.Time) (Result, error) {
-			return InjectSpecAt(spec, w, traces, at)
-		},
-		runner.Options{Workers: workers, OnDone: onDone, Label: func(i int) string {
-			return fmt.Sprintf("sweep/%s/%s/point%d", spec.Name, w.Name(), i)
-		}})
-	for _, r := range rs {
-		if r.Err != nil {
 			return rep, r.Err
 		}
 		rep.Results = append(rep.Results, r.Value)

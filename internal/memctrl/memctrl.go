@@ -373,9 +373,13 @@ func (mc *Controller) Read(addr mem.Addr, done func()) {
 
 	case mc.pol.CoLocatesCounters:
 		cl := mc.layout.CounterLine(addr)
-		hit := mc.ctrC.Access(cl, false).Hit
-		mc.ctrC.Clean(cl) // co-located counters are never dirty on-chip
-		if hit {
+		res := mc.ctrC.Access(cl, false)
+		// Co-located counters are never dirty on-chip: the line is
+		// cleaned and a dirty victim dropped, without a writeback.
+		if mc.ctrC.Clean(cl) || (res.VictimValid && res.VictimDirty) {
+			mc.persistEpoch() // the dirty counter-cache set just shrank
+		}
+		if res.Hit {
 			mc.st.Inc(stats.CounterCacheHits, 1)
 			// OTP generation overlaps the data fetch (Fig. 6b).
 			mc.join2(addr, mc.cfg.CryptoLatency, done)
@@ -948,11 +952,26 @@ func (mc *Controller) stopLoss(addr mem.Addr, cryptoDelay sim.Time) {
 // in the image's counter region at the instant the co-located 72B write
 // completed, keeping the functional image decryptable.
 func (mc *Controller) syncCoLocatedCounter(dataAddr mem.Addr, ctr uint64, at sim.Time) {
+	w := mc.coLocatedCounter(dataAddr, ctr, at, nil)
+	mc.dev.WriteAt(w.Line, w.Data, w.Tag, w.Sum, at)
+}
+
+// coLocatedCounter is the counter-region half of a co-located 72B
+// write: the data line's counter line with its 8B slot set to ctr. The
+// line's other slots come from the latest write to it in pending, or
+// else from the image.
+func (mc *Controller) coLocatedCounter(dataAddr mem.Addr, ctr uint64, at sim.Time, pending []mem.Write) mem.Write {
 	cl := mc.layout.CounterLine(dataAddr)
 	cur, _ := mc.dev.Image().Read(cl)
+	for i := len(pending) - 1; i >= 0; i-- {
+		if pending[i].Line == cl {
+			cur = pending[i].Data
+			break
+		}
+	}
 	vals := ctrenc.UnpackCounterLine(cur)
 	vals[mc.layout.CounterSlot(dataAddr)] = ctr
-	mc.dev.WriteAt(cl, ctrenc.PackCounterLine(vals), 0, 0, at)
+	return mem.Write{Line: cl, Data: ctrenc.PackCounterLine(vals), At: at}
 }
 
 // touchCounterCacheForWrite updates counter-cache state for a write to the
@@ -1013,25 +1032,44 @@ func (mc *Controller) QueueOccupancy() (data, counter int) {
 	return len(mc.dataQ), len(mc.counterQ)
 }
 
-// DrainADR models the paper's extended ADR support at power failure: every
-// entry resident in the (battery-backed) write queues drains to NVM at the
-// crash instant. Entries awaiting acceptance are volatile and are lost.
-// Because CA pairs are accepted atomically, no half-pair can be resident.
-func (mc *Controller) DrainADR(at sim.Time) {
+// ADROverlay returns the writes the paper's extended ADR support lands in
+// NVM at a power failure at instant at, in drain order, and changes no
+// state. Every entry resident in the (battery-backed) write queues
+// drains: the data queue first, then the counter queue. A co-located
+// data entry carries its counter in the same 72B access, so it also
+// yields its counter line with the entry's slot updated. Entries
+// awaiting acceptance are volatile and are lost; because CA pairs are
+// accepted atomically, no half-pair can be resident.
+//
+// The crash image at at is Image().SnapshotWritesAt(at) with these
+// writes laid over it in order, a later write to a line replacing an
+// earlier one. The machine is untouched, so a replay can resume past
+// at and observe the next crash instant.
+func (mc *Controller) ADROverlay(at sim.Time) []mem.Write {
+	var out []mem.Write
 	for _, e := range mc.dataQ {
-		if !e.done {
-			mc.dev.WriteAt(e.addr, e.data, e.tag, e.sum, at)
-			if e.syncCtr {
-				// Co-located entries carry their counter in the
-				// same 72B access; the drain persists both halves.
-				mc.syncCoLocatedCounter(e.addr, e.tag, at)
-			}
+		if e.done {
+			continue
+		}
+		out = append(out, mem.Write{Line: e.addr.LineAddr(), Data: e.data, At: at, Tag: e.tag, Sum: e.sum})
+		if e.syncCtr {
+			out = append(out, mc.coLocatedCounter(e.addr, e.tag, at, out))
 		}
 	}
 	for _, e := range mc.counterQ {
 		if !e.done {
-			mc.dev.WriteAt(e.addr, e.data, 0, 0, at)
+			out = append(out, mem.Write{Line: e.addr.LineAddr(), Data: e.data, At: at})
 		}
+	}
+	return out
+}
+
+// DrainADR applies ADROverlay(at) to the device image. It is terminal:
+// the image then holds writes the running machine never made, so a
+// drained machine must not replay further.
+func (mc *Controller) DrainADR(at sim.Time) {
+	for _, w := range mc.ADROverlay(at) {
+		mc.dev.WriteAt(w.Line, w.Data, w.Tag, w.Sum, at)
 	}
 }
 

@@ -711,3 +711,76 @@ func TestReadQueueCapacity(t *testing.T) {
 		t.Fatal("read queue overflow never counted")
 	}
 }
+
+// adrWorkload issues a fixed mix of CA and plain writes, rewrites and
+// counter writebacks, spread over time and packed into two counter
+// lines so co-located drains share a counter line.
+func adrWorkload(r *rig) {
+	for i := 0; i < 48; i++ {
+		i := i
+		r.eng.At(sim.Time(i)*37*sim.Nanosecond, func() {
+			addr := mem.Addr(i%11) * 64
+			if i%7 == 6 {
+				r.mc.CounterWriteback(addr, func() {})
+				return
+			}
+			r.mc.Write(addr, lineOf(byte(i+1)), i%3 == 0, nil)
+		})
+	}
+}
+
+// The read-only ADR overlay must build exactly the crash image the
+// mutating drain leaves: at every instant, one machine walked forward
+// through the crash instants and observed through SnapshotWritesAt plus
+// ADROverlay equals a fresh twin run to the same instant, drained with
+// DrainADR and snapshotted.
+func TestADROverlayMatchesDrain(t *testing.T) {
+	designs := []config.Design{config.SCA, config.FCA, config.CoLocated, config.CoLocatedCC,
+		config.Osiris, config.BMT, config.SecPM}
+	for _, d := range designs {
+		walker := newRig(d)
+		adrWorkload(walker)
+		overlaid := 0
+		for at := sim.Time(0); at <= 3*sim.Microsecond; at += 13 * sim.Nanosecond {
+			t1 := walker.eng.RunUntil(at)
+			over := walker.mc.ADROverlay(t1)
+			overlaid += len(over)
+			got := walker.dev.Image().SnapshotWritesAt(t1)
+			for _, w := range over {
+				got[w.Line] = w
+			}
+
+			twin := newRig(d)
+			adrWorkload(twin)
+			t2 := twin.eng.RunUntil(at)
+			twin.mc.DrainADR(t2)
+			want := twin.dev.Image().SnapshotWritesAt(t2)
+			if t1 != t2 || len(got) != len(want) {
+				t.Fatalf("%v at %v: overlay image has %d lines at %v, drained twin %d at %v",
+					d, at, len(got), t1, len(want), t2)
+			}
+			for a, w := range want {
+				if got[a] != w {
+					t.Fatalf("%v at %v: line %#x: overlay %+v, drain %+v", d, at, a, got[a], w)
+				}
+			}
+			if d.CoLocatesCounters() {
+				// Both halves of every co-located access persist together.
+				lay := walker.mc.Layout()
+				for a, w := range got {
+					if !lay.IsData(a) {
+						continue
+					}
+					ctr := ctrenc.UnpackCounterLine(got[lay.CounterLine(a)].Data)[lay.CounterSlot(a)]
+					if ctr != w.Tag {
+						t.Fatalf("%v at %v: line %#x written with counter %d, image holds %d",
+							d, at, a, w.Tag, ctr)
+					}
+				}
+			}
+		}
+		if overlaid == 0 {
+			t.Errorf("%v: no crash instant found a queued entry; the comparison is vacuous", d)
+		}
+	}
+}

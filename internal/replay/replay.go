@@ -50,6 +50,7 @@ type System struct {
 	caLine map[mem.Addr]bool
 
 	finished int
+	started  bool
 	flushed  bool
 	// firstTx is when the first TxBegin retired on any core; the
 	// measured phase of a run (the paper's methodology) excludes the
@@ -245,8 +246,14 @@ func (s *System) AttachProbe(p *probe.Probe) {
 	mw.Utilization("nvm.bus_util", func() float64 { return float64(s.Dev.BusBusyTime()) })
 }
 
-// Start schedules every core's first step at t=0.
+// Start schedules every core's first step at t=0. Only the first call
+// schedules anything, so Run and RunUntil may follow one another and
+// each continues the replay where the last one stopped.
 func (s *System) Start() {
+	if s.started {
+		return
+	}
+	s.started = true
 	for _, c := range s.cores {
 		c := c
 		s.Eng.Schedule(0, c.step)
@@ -271,8 +278,14 @@ func (s *System) Run() sim.Time {
 
 // RunUntil replays until the simulated deadline and returns the time
 // reached — the crash-injection entry point. No flush happens; the caller
-// owns ADR draining.
+// owns ADR draining. RunUntil is resumable: successive calls with
+// nondecreasing deadlines replay each stretch once, and leave the
+// machine exactly as one call with the last deadline would. A deadline
+// before the time already reached is a caller bug and panics.
 func (s *System) RunUntil(deadline sim.Time) sim.Time {
+	if now := s.Eng.Now(); deadline < now {
+		panic(fmt.Sprintf("replay: RunUntil(%v) after the replay reached %v", deadline, now))
+	}
 	s.Start()
 	return s.Eng.RunUntil(deadline)
 }

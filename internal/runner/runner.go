@@ -12,9 +12,15 @@
 // submission order regardless of completion order, and callers format
 // rows only after the fan-out returns.
 //
+// Crash sweeps are the exception to "each cell builds its own engine":
+// their cells are ascending crash instants on one timeline, so MapRuns
+// hands each worker a contiguous run of cells and one state (a machine
+// replaying forward) for the whole run.
+//
 // Simulation instances are not goroutine-safe (see internal/nvm); the
-// contract here is that fn touches only state it creates itself plus
-// inputs that are immutable for the duration of the call. The -race CI
+// contract here is that fn touches only state it creates itself (or,
+// under MapRuns, its run's state) plus inputs that are immutable for the
+// duration of the call. The -race CI
 // job runs the full figure suite and crash sweeps through this pool to
 // hold that contract.
 //
@@ -90,54 +96,122 @@ func (e *PanicError) Error() string {
 // after ctx is cancelled becomes a plain error result. Map itself never
 // fails and always returns len(jobs) results.
 func Map[T, R any](ctx context.Context, jobs []T, fn func(ctx context.Context, job T) (R, error), opts Options) []Result[R] {
-	n := len(jobs)
-	results := make([]Result[R], n)
-	if n == 0 {
-		return results
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	label := opts.Label
-	if label == nil {
-		label = func(i int) string { return fmt.Sprintf("cell %d", i) }
-	}
-
+	p := newPool[T, R](ctx, jobs, opts)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	var doneMu sync.Mutex
-	for w := 0; w < workers; w++ {
+	for w := 0; w < p.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				r := Result[R]{Label: label(i)}
-				start := time.Now()
-				if err := ctx.Err(); err != nil {
-					r.Err = fmt.Errorf("runner: cell %s not started: %w", r.Label, err)
-				} else {
-					r.Value, r.Err = runCell(ctx, jobs[i], fn, r.Label, opts.Timeout)
-				}
-				r.Wall = time.Since(start)
-				results[i] = r
-				if opts.OnDone != nil {
-					doneMu.Lock()
-					opts.OnDone(Progress{Label: r.Label, Index: i, Total: n, Wall: r.Wall, Err: r.Err})
-					doneMu.Unlock()
-				}
+				p.do(i, fn)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := range jobs {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return results
+	return p.results
+}
+
+// MapRuns is Map for jobs that share costly state along their order,
+// such as one machine replaying forward through ascending crash
+// deadlines. It splits jobs into at most Workers contiguous runs, one
+// goroutine each, and runs each run's jobs in order over one state that
+// newState builds just before the run's first job. A job that fails —
+// error, panic, timeout or cancellation — discards the state, and the
+// run's next job builds a fresh one, so newState must return a state
+// from which every job is correct. Every per-job contract of Map holds:
+// results in job order, labels, panic capture, the Timeout, the ctx
+// check before each job, and one OnDone per job whose Wall is that
+// job's own time, including any state build it triggered.
+func MapRuns[T, S, R any](ctx context.Context, jobs []T, newState func() (S, error),
+	fn func(ctx context.Context, st S, job T) (R, error), opts Options) []Result[R] {
+
+	p := newPool[T, R](ctx, jobs, opts)
+	n := len(jobs)
+	var wg sync.WaitGroup
+	for w := 0; w < p.workers; w++ {
+		lo, hi := w*n/p.workers, (w+1)*n/p.workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var (
+				st   S
+				have bool
+			)
+			for i := lo; i < hi; i++ {
+				cur, ok := st, have
+				err := p.do(i, func(ctx context.Context, job T) (R, error) {
+					if !ok {
+						s, err := newState()
+						if err != nil {
+							var zero R
+							return zero, err
+						}
+						cur, ok = s, true
+					}
+					return fn(ctx, cur, job)
+				})
+				if err != nil {
+					// A timed-out job may still be running on cur:
+					// neither read it nor keep it.
+					var zero S
+					st, have = zero, false
+					continue
+				}
+				st, have = cur, ok
+			}
+		}()
+	}
+	wg.Wait()
+	return p.results
+}
+
+// pool is the state one Map or MapRuns call shares across its workers.
+type pool[T, R any] struct {
+	ctx     context.Context
+	jobs    []T
+	results []Result[R]
+	opts    Options
+	label   func(i int) string
+	workers int        // goroutines to start: min(Workers, len(jobs))
+	doneMu  sync.Mutex // serializes OnDone
+}
+
+func newPool[T, R any](ctx context.Context, jobs []T, opts Options) *pool[T, R] {
+	p := &pool[T, R]{ctx: ctx, jobs: jobs, results: make([]Result[R], len(jobs)),
+		opts: opts, label: opts.Label, workers: opts.Workers}
+	if p.workers <= 0 {
+		p.workers = runtime.GOMAXPROCS(0)
+	}
+	p.workers = min(p.workers, len(jobs))
+	if p.label == nil {
+		p.label = func(i int) string { return fmt.Sprintf("cell %d", i) }
+	}
+	return p
+}
+
+// do runs job i through fn, records its result, reports its progress,
+// and returns its error.
+func (p *pool[T, R]) do(i int, fn func(ctx context.Context, job T) (R, error)) error {
+	r := Result[R]{Label: p.label(i)}
+	start := time.Now()
+	if err := p.ctx.Err(); err != nil {
+		r.Err = fmt.Errorf("runner: cell %s not started: %w", r.Label, err)
+	} else {
+		r.Value, r.Err = runCell(p.ctx, p.jobs[i], fn, r.Label, p.opts.Timeout)
+	}
+	r.Wall = time.Since(start)
+	p.results[i] = r
+	if p.opts.OnDone != nil {
+		p.doneMu.Lock()
+		p.opts.OnDone(Progress{Label: r.Label, Index: i, Total: len(p.jobs), Wall: r.Wall, Err: r.Err})
+		p.doneMu.Unlock()
+	}
+	return r.Err
 }
 
 // MapValues is Map for callers that only need the values: it unwraps

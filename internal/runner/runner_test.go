@@ -128,26 +128,39 @@ func TestMapCellTimeout(t *testing.T) {
 // Cancelling the context stops unstarted cells; their results carry the
 // cancellation cause.
 func TestMapCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int32
-	rs := Map(ctx, make([]struct{}, 50), func(_ context.Context, _ struct{}) (int, error) {
-		if started.Add(1) == 1 {
-			cancel()
-		}
-		return 7, nil
-	}, Options{Workers: 1})
-
-	var cancelled int
-	for _, r := range rs {
-		if errors.Is(r.Err, context.Canceled) {
-			cancelled++
-		}
+	mappers := map[string]func(context.Context, []struct{}, func(context.Context, struct{}) (int, error)) []Result[int]{
+		"Map": func(ctx context.Context, jobs []struct{}, fn func(context.Context, struct{}) (int, error)) []Result[int] {
+			return Map(ctx, jobs, fn, Options{Workers: 1})
+		},
+		"MapRuns": func(ctx context.Context, jobs []struct{}, fn func(context.Context, struct{}) (int, error)) []Result[int] {
+			return MapRuns(ctx, jobs, func() (int, error) { return 0, nil },
+				func(ctx context.Context, _ int, j struct{}) (int, error) { return fn(ctx, j) },
+				Options{Workers: 1})
+		},
 	}
-	// The cancelling cell itself may race its own completion against the
-	// watchdog; every cell after it must be cancelled unstarted.
-	if cancelled < len(rs)-int(started.Load()) {
-		t.Errorf("started %d, cancelled %d of %d cells; expected the rest cancelled",
-			started.Load(), cancelled, len(rs))
+	for name, mapper := range mappers {
+		ctx, cancel := context.WithCancel(context.Background())
+		var started atomic.Int32
+		rs := mapper(ctx, make([]struct{}, 50), func(_ context.Context, _ struct{}) (int, error) {
+			if started.Add(1) == 1 {
+				cancel()
+			}
+			return 7, nil
+		})
+
+		var cancelled int
+		for _, r := range rs {
+			if errors.Is(r.Err, context.Canceled) {
+				cancelled++
+			}
+		}
+		// The cancelling cell itself may race its own completion against
+		// the watchdog; every cell after it must be cancelled unstarted.
+		if cancelled < len(rs)-int(started.Load()) {
+			t.Errorf("%s: started %d, cancelled %d of %d cells; expected the rest cancelled",
+				name, started.Load(), cancelled, len(rs))
+		}
+		cancel()
 	}
 }
 
@@ -203,5 +216,95 @@ func TestMapEmpty(t *testing.T) {
 	}, Options{})
 	if len(rs) != 0 {
 		t.Fatalf("%d results for no jobs", len(rs))
+	}
+}
+
+// MapRuns keeps Map's per-job contract — results in job order, one
+// progress record per job — while running each contiguous run of jobs
+// in order over one lazily built state.
+func TestMapRunsOrderAndSharedState(t *testing.T) {
+	jobs := make([]int, 37)
+	for i := range jobs {
+		jobs[i] = i
+	}
+	for _, workers := range []int{0, 1, 3, 8, 100} {
+		var built atomic.Int32
+		var mu sync.Mutex
+		seen := map[int]bool{}
+		rs := MapRuns(context.Background(), jobs,
+			func() (*[]int, error) { built.Add(1); return new([]int), nil },
+			func(_ context.Context, st *[]int, j int) (int, error) {
+				if n := len(*st); n > 0 && (*st)[n-1] != j-1 {
+					return 0, fmt.Errorf("job %d after job %d on one state", j, (*st)[n-1])
+				}
+				*st = append(*st, j)
+				return j * j, nil
+			},
+			Options{Workers: workers, OnDone: func(p Progress) {
+				mu.Lock()
+				seen[p.Index] = true
+				mu.Unlock()
+			}})
+		for i, r := range rs {
+			if r.Err != nil || r.Value != i*i {
+				t.Fatalf("workers=%d: result[%d] = %d, %v", workers, i, r.Value, r.Err)
+			}
+		}
+		limit := workers
+		if limit <= 0 || limit > len(jobs) {
+			limit = len(jobs)
+		}
+		if b := int(built.Load()); b < 1 || b > limit {
+			t.Errorf("workers=%d: built %d states", workers, b)
+		}
+		if len(seen) != len(jobs) {
+			t.Errorf("workers=%d: progress for %d of %d jobs", workers, len(seen), len(jobs))
+		}
+	}
+}
+
+// A job that errors or panics discards its run's state: the next job
+// builds a fresh one, and a failed build is that job's error.
+func TestMapRunsRebuildsAfterFailure(t *testing.T) {
+	var builds atomic.Int32
+	rs := MapRuns(context.Background(), []int{0, 1, 2, 3, 4, 5},
+		func() (*int, error) {
+			if builds.Add(1) == 3 {
+				return nil, errors.New("build 3 fails")
+			}
+			return new(int), nil
+		},
+		func(_ context.Context, st *int, j int) (int, error) {
+			*st++
+			switch j {
+			case 1:
+				return 0, errors.New("job 1 fails")
+			case 3:
+				panic("job 3 panics")
+			}
+			return *st, nil
+		},
+		Options{Workers: 1, Label: func(i int) string { return fmt.Sprintf("run/%d", i) }})
+	// Build 1 serves jobs 0–1, build 2 jobs 2–3, build 3 fails job 4,
+	// and build 4 serves job 5.
+	want := []struct {
+		v   int
+		err string
+	}{{1, ""}, {0, "job 1 fails"}, {1, ""}, {0, "job 3 panics"}, {0, "build 3 fails"}, {1, ""}}
+	var pe *PanicError
+	if !errors.As(rs[3].Err, &pe) {
+		t.Errorf("job 3: %v is not a PanicError", rs[3].Err)
+	}
+	for i, w := range want {
+		r := rs[i]
+		if r.Label != fmt.Sprintf("run/%d", i) {
+			t.Errorf("job %d labelled %q", i, r.Label)
+		}
+		if (r.Err == nil) != (w.err == "") || (r.Err != nil && !strings.Contains(r.Err.Error(), w.err)) {
+			t.Errorf("job %d: error %v, want %q", i, r.Err, w.err)
+		}
+		if r.Err == nil && r.Value != w.v {
+			t.Errorf("job %d: value %d, want %d", i, r.Value, w.v)
+		}
 	}
 }
