@@ -8,9 +8,13 @@
 package encnvm_test
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
+	"encnvm/internal/check"
+	"encnvm/internal/check/prune"
+	"encnvm/internal/check/verify"
 	"encnvm/internal/config"
 	"encnvm/internal/core"
 	"encnvm/internal/crash"
@@ -18,8 +22,10 @@ import (
 	"encnvm/internal/exp"
 	"encnvm/internal/machine"
 	"encnvm/internal/mem"
+	"encnvm/internal/persist"
 	"encnvm/internal/probe"
 	"encnvm/internal/sim"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -355,6 +361,64 @@ func BenchmarkCrashCampaign(b *testing.B) {
 			b.ReportMetric(float64(rep.Simulated), "injections")
 			b.ReportMetric(100*rep.PrunedFraction, "pruned_%")
 			b.ReportMetric(float64(rep.Simulated)*float64(b.N)/b.Elapsed().Seconds(), "injections/s")
+		})
+	}
+}
+
+// BenchmarkStaticOracles measures the static layer a campaign runs in
+// its set-up, one oracle per sub-benchmark, over every workload's trace
+// in both transaction modes (seed 42, 128 items, 48 ops): the trace
+// linter, the verifier, and prune's Compute+Check. ops/s is checked
+// trace ops per second. Allocation figures are machine-independent, so
+// the CI static job gates them against the checked-in BENCH_pr14.json.
+func BenchmarkStaticOracles(b *testing.B) {
+	var (
+		traces []*trace.Trace
+		ops    int
+	)
+	for _, mode := range []persist.TxMode{persist.Undo, persist.Redo} {
+		for _, w := range workloads.All() {
+			p := workloads.Params{Seed: 42, Items: 128, Ops: 48, OpsPerTx: 1, TxMode: mode}
+			tr := crash.BuildTraces(w, p, 1)[0]
+			traces = append(traces, tr)
+			ops += tr.Len()
+		}
+	}
+	arenas := []persist.Arena{persist.ArenaFor(0, crash.DefaultArena)}
+	for _, o := range []struct {
+		name string
+		run  func(tr *trace.Trace) error
+	}{
+		{"lint", func(tr *trace.Trace) error {
+			if d := check.Check(tr, check.Options{Arenas: arenas}); len(d) > 0 {
+				return fmt.Errorf("lint: %v", d[0])
+			}
+			return nil
+		}},
+		{"verify", func(tr *trace.Trace) error {
+			if res := verify.Verify(tr, verify.Options{Arenas: arenas}); !res.Clean() {
+				return fmt.Errorf("verify: %v", res.Violations[0])
+			}
+			return nil
+		}},
+		{"prune", func(tr *trace.Trace) error {
+			popts := prune.Options{Arenas: arenas}
+			part, err := prune.Compute(tr, popts)
+			if err != nil {
+				return err
+			}
+			return prune.Check(tr, part, popts)
+		}},
+	} {
+		b.Run(o.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, tr := range traces {
+					if err := o.run(tr); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(ops)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 		})
 	}
 }

@@ -26,6 +26,12 @@
 // and every gap range, so a consumer holding only the partition file can
 // confirm it against the trace without trusting its producer.
 //
+// Both cost one interpreter pass and write each certificate row once,
+// with no sort: the verifier emits every class's rows, already in
+// address order, into one reused buffer; Compute copies them into a
+// chunked slab, and Check compares them against the partition as they
+// stream past, without building a second partition.
+//
 // # What the certificate does and does not prove
 //
 // Classes certify equality of the ABSTRACT state: crash points in one
@@ -44,7 +50,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"reflect"
+	"slices"
 
 	"encnvm/internal/check/verify"
 	"encnvm/internal/mem"
@@ -101,6 +107,27 @@ type Partition struct {
 	Classes []Class `json:"classes"`
 }
 
+// slabRows bounds the row slab chunk Compute copies certificates into:
+// chunks double from a small first one up to this many rows, so a tiny
+// trace allocates little and a long one allocates a few large chunks.
+const slabRows = 1 << 16
+
+// verifyOptions runs the verifier under opts' classifier and model,
+// handing every class certificate to onClass.
+func verifyOptions(opts Options, onClass func(verify.ClassState)) verify.Options {
+	return verify.Options{Arenas: opts.Arenas, IsLog: opts.IsLog, Model: opts.Model, OnClass: onClass}
+}
+
+// v0 returns the structural-validity error of a verification, if any.
+func v0(res verify.Result) error {
+	for _, v := range res.Violations {
+		if v.Inv == "V0" {
+			return fmt.Errorf("prune: %s", v.Message)
+		}
+	}
+	return nil
+}
+
 // Compute partitions tr's crash points by running the static verifier's
 // abstract interpretation and capturing one certificate per class. The
 // result is deterministic: same trace and options, byte-identical
@@ -108,49 +135,54 @@ type Partition struct {
 // its class enumeration cannot be trusted. Other violations do NOT fail
 // the partition: a buggy protocol still has a well-defined crash-point
 // space, and campaigns exist to observe exactly those failures.
+//
+// Each class's rows, borrowed from the verifier, are copied once into a
+// chunked slab; every certificate holds a full-slice-expression view of
+// its own rows, so appending to one never overwrites a neighbour.
 func Compute(tr trace.Source, opts Options) (*Partition, error) {
-	var states []verify.ClassState
-	res := verify.Verify(tr, verify.Options{
-		Arenas: opts.Arenas,
-		IsLog:  opts.IsLog,
-		Model:  opts.Model,
-		OnClass: func(st verify.ClassState) {
-			states = append(states, st)
-		},
-	})
-	for _, v := range res.Violations {
-		if v.Inv == "V0" {
-			return nil, fmt.Errorf("prune: %s", v.Message)
-		}
-	}
-	if len(states) != res.Classes {
-		return nil, fmt.Errorf("prune: %d certificates for %d classes", len(states), res.Classes)
-	}
 	p := &Partition{Schema: Schema, Ops: tr.Len(), Gaps: tr.Len() + 1}
-	for j, st := range states {
-		lo := st.OpIndex + 1
-		hi := tr.Len() + 1
-		if j+1 < len(states) {
-			hi = states[j+1].OpIndex + 1
+	var slab []verify.LineFact
+	res := verify.Verify(tr, verifyOptions(opts, func(st verify.ClassState) {
+		if n := len(st.Lines); n > 0 {
+			if cap(slab)-len(slab) < n {
+				slab = make([]verify.LineFact, 0, max(n, min(2*cap(slab), slabRows), 64))
+			}
+			at := len(slab)
+			slab = append(slab, st.Lines...)
+			st.Lines = slab[at:len(slab):len(slab)]
 		}
+		lo := st.OpIndex + 1
 		p.Classes = append(p.Classes, Class{
-			Index:          j,
+			Index:          len(p.Classes),
 			OpIndex:        st.OpIndex,
 			Boundary:       st.Boundary,
-			Gaps:           [2]int{lo, hi},
+			Gaps:           [2]int{lo, p.Gaps},
 			Representative: lo,
 			Cert:           st,
 		})
+	}))
+	if err := v0(res); err != nil {
+		return nil, err
+	}
+	if len(p.Classes) != res.Classes {
+		return nil, fmt.Errorf("prune: %d certificates for %d classes", len(p.Classes), res.Classes)
+	}
+	for j := 1; j < len(p.Classes); j++ {
+		p.Classes[j-1].Gaps[1] = p.Classes[j].Gaps[0]
 	}
 	return p, nil
 }
 
 // Check verifies a partition against its trace: the schema tag, the gap
 // tiling (classes cover [0, ops+1) contiguously with in-range
-// representatives), and — by recomputing the abstract interpretation —
+// representatives), and — by re-running the abstract interpretation —
 // every certificate. A partition that passes Check is exactly what
-// Compute would produce for (tr, opts); a consumer need not trust the
-// file it decoded.
+// Compute would produce for (tr, opts), up to the choice of in-range
+// representatives; a consumer need not trust the file it decoded.
+//
+// The recomputation builds no second partition: each class the verifier
+// emits is compared, field by field and row by row, against the class
+// of the same index as it streams past.
 func Check(tr trace.Source, p *Partition, opts Options) error {
 	if p.Schema != Schema {
 		return fmt.Errorf("prune: schema %q, want %q", p.Schema, Schema)
@@ -177,23 +209,73 @@ func Check(tr trace.Source, p *Partition, opts Options) error {
 	if next != p.Gaps {
 		return fmt.Errorf("prune: classes cover %d gaps, trace has %d", next, p.Gaps)
 	}
-	want, err := Compute(tr, opts)
-	if err != nil {
+	// The tiling is contiguous and ends at ops+1, so each class's end
+	// is its successor's start: comparing every start against the
+	// recomputed opening op pins both ends of every interval.
+	var (
+		n        int
+		mismatch error
+	)
+	res := verify.Verify(tr, verifyOptions(opts, func(st verify.ClassState) {
+		if mismatch == nil && n < len(p.Classes) {
+			if d := diffClass(&p.Classes[n], &st); d != "" {
+				mismatch = fmt.Errorf("prune: class %d certificate does not match the trace: %s", n, d)
+			}
+		}
+		n++
+	}))
+	if err := v0(res); err != nil {
 		return err
 	}
-	if len(want.Classes) != len(p.Classes) {
-		return fmt.Errorf("prune: %d classes, recomputation finds %d",
-			len(p.Classes), len(want.Classes))
+	if n != len(p.Classes) {
+		return fmt.Errorf("prune: %d classes, recomputation finds %d", len(p.Classes), n)
 	}
-	for i := range p.Classes {
-		got, ref := p.Classes[i], want.Classes[i]
-		got.Representative = ref.Representative // any in-range choice is valid
-		if !reflect.DeepEqual(got, ref) {
-			return fmt.Errorf("prune: class %d certificate does not match the trace: got %+v, want %+v",
-				i, p.Classes[i], ref)
+	return mismatch
+}
+
+// diffClass names the first field in which class c differs from the
+// recomputed certificate st, or returns "" when they agree. Index and
+// the interval end are pinned by Check's tiling pass; the
+// representative may be any gap of the interval.
+func diffClass(c *Class, st *verify.ClassState) string {
+	g := &c.Cert
+	switch {
+	case c.OpIndex != st.OpIndex:
+		return fmt.Sprintf("OpIndex %d, want %d", c.OpIndex, st.OpIndex)
+	case c.Boundary != st.Boundary:
+		return fmt.Sprintf("Boundary %q, want %q", c.Boundary, st.Boundary)
+	case c.Gaps[0] != st.OpIndex+1:
+		return fmt.Sprintf("Gaps start at %d, want %d", c.Gaps[0], st.OpIndex+1)
+	case g.Index != st.Index:
+		return fmt.Sprintf("Cert.Index %d, want %d", g.Index, st.Index)
+	case g.OpIndex != st.OpIndex:
+		return fmt.Sprintf("Cert.OpIndex %d, want %d", g.OpIndex, st.OpIndex)
+	case g.Boundary != st.Boundary:
+		return fmt.Sprintf("Cert.Boundary %q, want %q", g.Boundary, st.Boundary)
+	case g.Epoch != st.Epoch:
+		return fmt.Sprintf("Cert.Epoch %d, want %d", g.Epoch, st.Epoch)
+	case g.InTx != st.InTx:
+		return fmt.Sprintf("Cert.InTx %t, want %t", g.InTx, st.InTx)
+	case g.SealOpen != st.SealOpen:
+		return fmt.Sprintf("Cert.SealOpen %t, want %t", g.SealOpen, st.SealOpen)
+	case g.SealAddr != st.SealAddr:
+		return fmt.Sprintf("Cert.SealAddr %#x, want %#x", g.SealAddr, st.SealAddr)
+	case g.SealAt != st.SealAt:
+		return fmt.Sprintf("Cert.SealAt %d, want %d", g.SealAt, st.SealAt)
+	case slices.Equal(g.Lines, st.Lines):
+		return ""
+	}
+	for k := range max(len(g.Lines), len(st.Lines)) {
+		switch {
+		case k >= len(g.Lines):
+			return fmt.Sprintf("row %d missing, want %+v", k, st.Lines[k])
+		case k >= len(st.Lines):
+			return fmt.Sprintf("row %d (line %#x) extra: %+v", k, g.Lines[k].Addr, g.Lines[k])
+		case g.Lines[k] != st.Lines[k]:
+			return fmt.Sprintf("row %d (line %#x): got %+v, want %+v", k, st.Lines[k].Addr, g.Lines[k], st.Lines[k])
 		}
 	}
-	return nil
+	return ""
 }
 
 // Hash fingerprints the partition (FNV-1a over its canonical encoding)
@@ -218,8 +300,12 @@ func (p *Partition) Encode(w io.Writer) error {
 // against the trace before relying on it.
 func Decode(r io.Reader) (*Partition, error) {
 	var p Partition
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("prune: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("prune: decode: trailing data after the partition")
 	}
 	if p.Schema != Schema {
 		return nil, fmt.Errorf("prune: schema %q, want %q", p.Schema, Schema)

@@ -73,7 +73,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"encnvm/internal/mem"
@@ -104,7 +106,9 @@ type Options struct {
 	// the abstract state every crash point in the class observes. This
 	// is how the class enumeration that drives V1–V4 is exported to the
 	// pruning analysis (internal/check/prune) instead of being discarded
-	// when verification ends.
+	// when verification ends. Lines is borrowed: the verifier refills
+	// the same row buffer for every class, so the callee must copy the
+	// rows before returning if it keeps them.
 	OnClass func(ClassState)
 }
 
@@ -230,7 +234,9 @@ func fact(safe bool, wbAt int) Fact {
 }
 
 // emitClass snapshots the current abstract state for the class opened by
-// op i (or the initial class, i == -1) into the OnClass hook.
+// op i (or the initial class, i == -1) into the OnClass hook. The rows
+// come from the address-sorted stored list and are written into one
+// reused buffer, so a class costs exactly its rows.
 func (v *verifier) emitClass(i int, boundary string) {
 	if v.opts.OnClass == nil {
 		return
@@ -247,13 +253,10 @@ func (v *verifier) emitClass(i int, boundary string) {
 		st.SealAddr = uint64(v.sealLine)
 		st.SealAt = v.sealAt
 	}
-	for _, a := range v.lineOrder {
-		ls := v.lines[a]
-		if ls.storedAt < 0 {
-			continue
-		}
-		st.Lines = append(st.Lines, LineFact{
-			Addr:     uint64(a),
+	rows := v.rows[:0]
+	for _, ls := range v.stored {
+		rows = append(rows, LineFact{
+			Addr:     uint64(ls.addr),
 			StoredAt: ls.storedAt,
 			Atomic:   ls.ca,
 			InTx:     ls.storeInTx,
@@ -261,7 +264,10 @@ func (v *verifier) emitClass(i int, boundary string) {
 			Counter:  fact(ls.ctrSafe, ls.ctrWBAt),
 		})
 	}
-	sort.Slice(st.Lines, func(x, y int) bool { return st.Lines[x].Addr < st.Lines[y].Addr })
+	v.rows = rows
+	if len(rows) > 0 {
+		st.Lines = rows
+	}
 	v.opts.OnClass(st)
 }
 
@@ -338,7 +344,9 @@ type verifier struct {
 	isLog func(mem.Addr) bool
 
 	lines     map[mem.Addr]*lineState
-	lineOrder []mem.Addr // first-touch order, for deterministic scans
+	lineOrder []mem.Addr   // first-touch order, for deterministic scans
+	stored    []*lineState // lines ever stored, sorted by address (OnClass runs only)
+	rows      []LineFact   // emitClass's reused row buffer
 	groups    map[mem.Addr][]mem.Addr
 
 	inTx     bool
@@ -522,6 +530,15 @@ func (v *verifier) step(tr trace.Source, i int, op trace.Op) {
 // how the engine persists it.
 func (v *verifier) applyWrite(i int, op trace.Op) {
 	ls := v.line(op.Addr)
+	if ls.storedAt < 0 && v.opts.OnClass != nil {
+		// First store to the line: it joins the sorted stored list for
+		// good (a line is never un-stored). Only emitClass reads the
+		// list, so a run that exports no classes keeps none.
+		at, _ := slices.BinarySearchFunc(v.stored, ls.addr, func(x *lineState, a mem.Addr) int {
+			return cmp.Compare(x.addr, a)
+		})
+		v.stored = slices.Insert(v.stored, at, ls)
+	}
 	ls.storedAt = i
 	ls.ca = v.model.atomic(op.CounterAtomic)
 	ls.storeInTx = v.inTx
