@@ -34,9 +34,10 @@ import (
 func BenchmarkTable2Config(b *testing.B) {
 	w, _ := workloads.ByName("arrayswap")
 	traces := crash.BuildTraces(w, workloads.Params{Seed: 1, Items: 64, Ops: 8}, 1)
+	spec := &machine.Spec{Engine: "sca"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunTraces(config.Default(config.SCA), "arrayswap", traces); err != nil {
+		if _, err := core.Run(spec, "arrayswap", trace.Sources(traces), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,9 +48,10 @@ func BenchmarkTable2Config(b *testing.B) {
 func BenchmarkTable1TxStages(b *testing.B) {
 	w, _ := workloads.ByName("queue")
 	p := workloads.Params{Seed: 1, Items: 32, Ops: 1}
+	spec := &machine.Spec{Engine: "sca"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunWorkload(core.Options{Design: config.SCA, Workload: w.Name(), Params: p})
+		res, err := core.RunWorkload(core.Options{Spec: spec, Workload: w.Name(), Params: p})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,10 +199,9 @@ func BenchmarkAblationCounterQueueDepth(b *testing.B) {
 	for _, depth := range []int{4, 16, 64} {
 		b.Run(map[int]string{4: "depth4", 16: "depth16", 64: "depth64"}[depth], func(b *testing.B) {
 			var rt sim.Time
+			spec := &machine.Spec{Engine: "fca", CounterWriteQueue: depth}
 			for i := 0; i < b.N; i++ {
-				cfg := config.Default(config.FCA)
-				cfg.CounterWriteQueue = depth
-				res, err := core.RunTraces(cfg, w.Name(), traces)
+				res, err := core.Run(spec, w.Name(), trace.Sources(traces), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -220,10 +221,9 @@ func BenchmarkAblationBankParallelism(b *testing.B) {
 	for _, banks := range []int{8, 32} {
 		b.Run(map[int]string{8: "banks8", 32: "banks32"}[banks], func(b *testing.B) {
 			var rt sim.Time
+			spec := &machine.Spec{Engine: "sca", Banks: banks}
 			for i := 0; i < b.N; i++ {
-				cfg := config.Default(config.SCA)
-				cfg.Banks = banks
-				res, err := core.RunTraces(cfg, w.Name(), traces)
+				res, err := core.Run(spec, w.Name(), trace.Sources(traces), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -286,9 +286,13 @@ func BenchmarkReplayPerDesign(b *testing.B) {
 	traces := crash.BuildTraces(w, workloads.Params{Seed: 1, Items: 256, Ops: 64}, 1)
 	for _, d := range config.AllDesigns {
 		d := d
+		spec, err := machine.SpecForDesign(d)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(d.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunTraces(config.Default(d), w.Name(), traces); err != nil {
+				if _, err := core.Run(spec, w.Name(), trace.Sources(traces), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -304,8 +308,9 @@ func BenchmarkReplayPerDesign(b *testing.B) {
 func BenchmarkReplayObserved(b *testing.B) {
 	w, _ := workloads.ByName("btree")
 	traces := crash.BuildTraces(w, workloads.Params{Seed: 1, Items: 256, Ops: 64}, 1)
+	spec := &machine.Spec{Engine: "sca"}
 	run := func(b *testing.B, pb *probe.Probe) {
-		res, err := core.RunTracesObserved(config.Default(config.SCA), w.Name(), traces, pb)
+		res, err := core.Run(spec, w.Name(), trace.Sources(traces), pb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,11 +357,11 @@ func BenchmarkCrashCampaign(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var rep crash.Report
 			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = crash.SweepPerOpJ(spec, w, p, 0, mode.pruned)
+				run, err := crash.RunCampaign(spec, w, p, crash.CampaignOptions{Pruned: mode.pruned})
 				if err != nil {
 					b.Fatal(err)
 				}
+				rep = run.Report
 			}
 			b.ReportMetric(float64(rep.Simulated), "injections")
 			b.ReportMetric(100*rep.PrunedFraction, "pruned_%")

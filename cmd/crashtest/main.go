@@ -109,6 +109,14 @@ Flags:
 	if *schedule != "" {
 		os.Exit(replaySchedule(*schedule))
 	}
+	if *cores < 1 {
+		fmt.Fprintf(os.Stderr, "crashtest: -cores %d: need at least one core\n", *cores)
+		os.Exit(2)
+	}
+	if *points < 0 {
+		fmt.Fprintf(os.Stderr, "crashtest: -points %d: need a point count >= 0\n", *points)
+		os.Exit(2)
+	}
 	session, err := perfOpts.Begin("crashtest", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -210,7 +218,7 @@ Flags:
 				os.Exit(2)
 			}
 		} else {
-			rep, err = crash.SweepSpecJObserved(spec, w, p, *points, *jobs, session.RunnerSink(nil))
+			rep, err = crash.Sweep(spec, w, p, *points, *jobs, session.RunnerSink(nil))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

@@ -92,6 +92,10 @@ func main() {
 		perf.PrintVersion(os.Stdout, "nvmsim")
 		return
 	}
+	if *cores < 1 {
+		fmt.Fprintf(os.Stderr, "nvmsim: -cores %d: need at least one core\n", *cores)
+		os.Exit(2)
+	}
 	session, err := perfOpts.Begin("nvmsim", os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -172,7 +176,7 @@ func main() {
 	var res core.Result
 	switch {
 	case *replayTrace != "":
-		res, err = core.RunSpecSourcesObserved(spec, *workload, trace.BinSources(readers), pb)
+		res, err = core.Run(spec, *workload, trace.BinSources(readers), pb)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -11,7 +11,9 @@ import (
 	"encnvm/internal/config"
 	"encnvm/internal/core"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/stats"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -30,7 +32,11 @@ func main() {
 		"design", "runtime(us)", "tx/s", "NVM bytes", "ctr bytes", "ctr$ hit")
 	var base float64
 	for _, d := range config.AllDesigns {
-		res, err := core.RunTraces(config.Default(d), workload, traces)
+		spec, err := machine.SpecForDesign(d)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := core.Run(spec, workload, trace.Sources(traces), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

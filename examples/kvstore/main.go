@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"encnvm/internal/config"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/mem"
 	"encnvm/internal/persist"
 	"encnvm/internal/replay"
@@ -111,9 +111,9 @@ func main() {
 		store.put(k)
 	}
 
-	cfg := config.Default(config.SCA)
+	spec := &machine.Spec{Engine: "sca"}
 	// Full run: the committed store must survive the whole pipeline.
-	sys, err := replay.New(cfg, []*trace.Trace{rt.Trace()})
+	sys, err := replay.NewSpecSources(spec, []trace.Source{rt.Trace()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func main() {
 
 	// Crash mid-run, recover, audit.
 	for _, frac := range []sim.Time{3, 5, 7, 9} {
-		sys2, err := replay.New(cfg, []*trace.Trace{rt.Trace()})
+		sys2, err := replay.NewSpecSources(spec, []trace.Source{rt.Trace()})
 		if err != nil {
 			log.Fatal(err)
 		}

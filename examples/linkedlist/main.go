@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"log"
 
-	"encnvm/internal/config"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/mem"
 	"encnvm/internal/persist"
 	"encnvm/internal/replay"
@@ -71,9 +71,8 @@ func walk(space *mem.Space, head mem.Addr, arena persist.Arena) ([]uint64, strin
 
 // crashAndRecover replays the trace under the design, crashes at the given
 // instant, and decrypts NVM with the counters found in NVM.
-func crashAndRecover(d config.Design, rt *persist.Runtime, at sim.Time) (*mem.Space, sim.Time) {
-	cfg := config.Default(d)
-	sys, err := replay.New(cfg, []*trace.Trace{rt.Trace()})
+func crashAndRecover(engine string, rt *persist.Runtime, at sim.Time) (*mem.Space, sim.Time) {
+	sys, err := replay.NewSpecSources(&machine.Spec{Engine: engine}, []trace.Source{rt.Trace()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,10 +87,10 @@ func main() {
 
 	fmt.Println("== legacy persistency primitives on an encrypted NVMM (Ideal design) ==")
 	legacyRT, head := buildListTrace(true)
-	end := fullRunEnd(config.Ideal, legacyRT)
+	end := fullRunEnd("ideal", legacyRT)
 	failures := 0
 	for i := sim.Time(1); i <= 10; i++ {
-		space, t := crashAndRecover(config.Ideal, legacyRT, end*i/10)
+		space, t := crashAndRecover("ideal", legacyRT, end*i/10)
 		items, problem := walk(space, head, arena)
 		if problem != "" {
 			failures++
@@ -104,10 +103,10 @@ func main() {
 
 	fmt.Println("== the paper's primitives (CounterAtomic head) on SCA hardware ==")
 	scaRT, head2 := buildListTrace(false)
-	end = fullRunEnd(config.SCA, scaRT)
+	end = fullRunEnd("sca", scaRT)
 	failures = 0
 	for i := sim.Time(1); i <= 10; i++ {
-		space, t := crashAndRecover(config.SCA, scaRT, end*i/10)
+		space, t := crashAndRecover("sca", scaRT, end*i/10)
 		items, problem := walk(space, head2, arena)
 		if problem != "" {
 			failures++
@@ -122,8 +121,8 @@ func main() {
 	}
 }
 
-func fullRunEnd(d config.Design, rt *persist.Runtime) sim.Time {
-	sys, err := replay.New(config.Default(d), []*trace.Trace{rt.Trace()})
+func fullRunEnd(engine string, rt *persist.Runtime) sim.Time {
+	sys, err := replay.NewSpecSources(&machine.Spec{Engine: engine}, []trace.Source{rt.Trace()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,15 +18,15 @@ import (
 	"fmt"
 	"log"
 
-	"encnvm/internal/config"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
 )
 
-func sweep(d config.Design) (failures, points, trials, lines int) {
+func sweep(engine string) (failures, points, trials, lines int) {
 	p := workloads.Params{Seed: 11, Items: 96, Ops: 32, Legacy: true}
 	for _, w := range workloads.All() {
-		rep, err := crash.Sweep(config.Default(d), w, p, 16)
+		rep, err := crash.Sweep(&machine.Spec{Engine: engine}, w, p, 16, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,10 +43,10 @@ func sweep(d config.Design) (failures, points, trials, lines int) {
 func main() {
 	fmt.Println("legacy persistency software (pre-paper, no SCA primitives) under crash injection:")
 
-	f, p, _, _ := sweep(config.Ideal)
+	f, p, _, _ := sweep("ideal")
 	fmt.Printf("  counter-mode NVMM without counter-atomicity: %3d/%3d crash points inconsistent\n", f, p)
 
-	f2, p2, trials, lines := sweep(config.Osiris)
+	f2, p2, trials, lines := sweep("osiris")
 	fmt.Printf("  Osiris-style ECC counter recovery:           %3d/%3d crash points inconsistent\n", f2, p2)
 	if lines > 0 {
 		fmt.Printf("  Osiris recovery cost: %.2f candidate decryptions per NVM line\n",

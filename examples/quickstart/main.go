@@ -7,16 +7,16 @@ import (
 	"fmt"
 	"log"
 
-	"encnvm/internal/config"
 	"encnvm/internal/core"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
 )
 
 func main() {
 	// 1. Run a persistent B-tree under the paper's SCA design.
 	res, err := core.RunWorkload(core.Options{
-		Design:   config.SCA,
+		Spec:     &machine.Spec{Engine: "sca"},
 		Workload: "btree",
 		Params:   workloads.Params{Seed: 1, Items: 512, Ops: 128},
 	})
@@ -36,7 +36,7 @@ func main() {
 	// 3. Crash the same workload at 16 points across its execution and
 	//    recover each time.
 	rep, err := core.CrashSweep(core.Options{
-		Design:   config.SCA,
+		Spec:     &machine.Spec{Engine: "sca"},
 		Workload: "btree",
 		Params:   workloads.Params{Seed: 1, Items: 128, Ops: 32},
 	}, 16)

@@ -10,6 +10,7 @@ import (
 	"encnvm/internal/config"
 	"encnvm/internal/core"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
 )
 
@@ -25,8 +26,12 @@ func TestEveryDesignEveryWorkloadEndToEnd(t *testing.T) {
 			d, w := d, w
 			t.Run(d.String()+"/"+w.Name(), func(t *testing.T) {
 				t.Parallel()
+				spec, err := machine.SpecForDesign(d)
+				if err != nil {
+					t.Fatal(err)
+				}
 				res, err := core.RunWorkload(core.Options{
-					Design: d, Workload: w.Name(), Params: itParams,
+					Spec: spec, Workload: w.Name(), Params: itParams,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -48,7 +53,7 @@ func TestEveryDesignEveryWorkloadEndToEnd(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() core.Result {
 		res, err := core.RunWorkload(core.Options{
-			Design: config.SCA, Workload: "rbtree", Cores: 2, Params: itParams,
+			Spec: &machine.Spec{Engine: "sca", Cores: 2}, Workload: "rbtree", Params: itParams,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +83,11 @@ func TestCrashMatrixConsistentDesigns(t *testing.T) {
 			d, w := d, w
 			t.Run(d.String()+"/"+w.Name(), func(t *testing.T) {
 				t.Parallel()
-				rep, err := crash.Sweep(config.Default(d), w, itParams, 6)
+				spec, err := machine.SpecForDesign(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := crash.Sweep(spec, w, itParams, 6, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,19 +106,17 @@ func TestPropertyCrashConsistencySCARandomSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property fuzz is multi-second")
 	}
-	cfg := config.Default(config.SCA)
+	spec := &machine.Spec{Engine: "sca"}
 	f := func(seed int64, pick uint8) bool {
 		w := workloads.All()[int(pick)%5]
 		p := itParams
 		p.Seed = seed
 		p.Items, p.Ops = 32, 12
-		traces := crash.BuildTraces(w, p, 1)
-		rep, err := crash.Sweep(cfg, w, p, 4)
+		rep, err := crash.Sweep(spec, w, p, 4, 0, nil)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		_ = traces
 		if n := len(rep.Failures()); n != 0 {
 			t.Logf("seed %d workload %s: %d failures: %v", seed, w.Name(), n, rep.Failures()[0].Err)
 			return false
@@ -129,7 +136,7 @@ func TestOpsPerTxMatrix(t *testing.T) {
 		p.OpsPerTx = per
 		p.Ops = per * 6
 		for _, w := range workloads.All() {
-			rep, err := crash.Sweep(config.Default(config.SCA), w, p, 4)
+			rep, err := crash.Sweep(&machine.Spec{Engine: "sca"}, w, p, 4, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,9 +152,9 @@ func TestOpsPerTxMatrix(t *testing.T) {
 // still demands end-to-end validity (Fig. 17's knob).
 func TestLatencyScalingMatrix(t *testing.T) {
 	for _, scale := range [][2]float64{{10, 10}, {0.25, 0.25}, {10, 0.25}} {
-		cfg := config.Default(config.SCA).WithNVMLatencyScale(scale[0], scale[1])
 		res, err := core.RunWorkload(core.Options{
-			Workload: "queue", Params: itParams, Config: cfg,
+			Spec:     &machine.Spec{Engine: "sca", ReadLatencyX: scale[0], WriteLatencyX: scale[1]},
+			Workload: "queue", Params: itParams,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -163,8 +170,8 @@ func TestLatencyScalingMatrix(t *testing.T) {
 // consistency throughout (Fig. 15's knob plus the eviction path).
 func TestCounterCacheSizeMatrix(t *testing.T) {
 	for _, size := range []int{16 << 10, 64 << 10, 1 << 20} {
-		cfg := config.Default(config.SCA).WithCounterCacheSize(size)
-		rep, err := crash.Sweep(cfg, &workloads.HashTable{}, itParams, 6)
+		spec := &machine.Spec{Engine: "sca", CounterCacheBytes: size}
+		rep, err := crash.Sweep(spec, &workloads.HashTable{}, itParams, 6, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -235,26 +235,6 @@ func (c *Config) WithCores(n int) *Config {
 	return &out
 }
 
-// WithCounterCacheSize returns a copy with the given total counter cache
-// size (for the Fig. 15 sensitivity sweep).
-func (c *Config) WithCounterCacheSize(bytes int) *Config {
-	out := *c
-	out.CounterCache.SizeBytes = bytes
-	out.derive()
-	return &out
-}
-
-// WithNVMLatencyScale returns a copy whose NVM read/write array timings are
-// scaled by the given factors (for the Fig. 17 sensitivity sweep). A factor
-// of 10 means 10x slower; 0.25 means 4x faster.
-func (c *Config) WithNVMLatencyScale(read, write float64) *Config {
-	out := *c
-	out.ReadLatencyX = read
-	out.WriteLatencyX = write
-	out.derive()
-	return &out
-}
-
 func scale(t sim.Time, x float64) sim.Time {
 	if x == 1.0 {
 		return t

@@ -136,7 +136,8 @@ func TestWithCoresScalesSharedCaches(t *testing.T) {
 
 func TestLatencyScaling(t *testing.T) {
 	base := Default(SCA)
-	slow := base.WithNVMLatencyScale(10, 1)
+	slow := *base
+	slow.ReadLatencyX = 10
 	et := slow.EffectiveTiming()
 	if et.TCL != 10*base.Timing.TCL {
 		t.Errorf("scaled tCL = %v, want 10x", et.TCL)
@@ -144,14 +145,14 @@ func TestLatencyScaling(t *testing.T) {
 	if et.TWR != base.Timing.TWR {
 		t.Errorf("write timing changed under read scaling")
 	}
-	fast := base.WithNVMLatencyScale(1, 0.25)
+	fast := *base
+	fast.WriteLatencyX = 0.25
 	et = fast.EffectiveTiming()
 	if et.TWR != base.Timing.TWR/4 {
 		t.Errorf("scaled tWR = %v, want 1/4", et.TWR)
 	}
-	// Base config untouched.
-	if base.ReadLatencyX != 1.0 || base.WriteLatencyX != 1.0 {
-		t.Errorf("base config mutated")
+	if et.TCL != base.Timing.TCL {
+		t.Errorf("read timing changed under write scaling")
 	}
 }
 
@@ -214,19 +215,5 @@ func TestOsirisPredicates(t *testing.T) {
 func TestAllDesignsIncludesExtension(t *testing.T) {
 	if len(AllDesigns) != 7 {
 		t.Fatalf("AllDesigns = %d, want the paper's six plus Osiris", len(AllDesigns))
-	}
-}
-
-func TestWithCounterCacheSizeIsolated(t *testing.T) {
-	base := Default(SCA)
-	small := base.WithCounterCacheSize(128 << 10)
-	if small.CounterCache.SizeBytes != 128<<10 {
-		t.Fatalf("size = %d", small.CounterCache.SizeBytes)
-	}
-	if base.CounterCache.SizeBytes != 1<<20 {
-		t.Fatal("base config mutated")
-	}
-	if err := small.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

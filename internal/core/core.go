@@ -1,15 +1,14 @@
-// Package core is the library facade: it wires a workload, a design and a
-// configuration into a full simulated system — software runtime, cores,
-// caches, encrypted memory controller, PCM device — runs it, and returns
-// the measurements the paper's figures are built from. It also fronts the
+// Package core is the library facade: it wires a workload and a machine
+// spec into a full simulated system — software runtime, cores, caches,
+// encrypted memory controller, PCM device — runs it, and returns the
+// measurements the paper's figures are built from. It also fronts the
 // crash-injection harness.
 //
 // Typical use:
 //
 //	res, err := core.RunWorkload(core.Options{
-//	        Design:   config.SCA,
+//	        Spec:     &machine.Spec{Engine: "sca", Cores: 4},
 //	        Workload: "btree",
-//	        Cores:    4,
 //	})
 //	fmt.Println(res.Runtime, res.Throughput)
 package core
@@ -30,68 +29,33 @@ import (
 	"encnvm/internal/workloads"
 )
 
-// Options selects what to simulate. Exactly one machine source applies:
-// Spec, Config, or the Design/Cores pair (in that precedence); supplying
-// conflicting sources is an error, never a silent override.
+// Options selects what to simulate.
 type Options struct {
-	Design   config.Design
+	// Spec is the machine to run (machine.ByName for a registered one);
+	// it is required.
+	Spec     *machine.Spec
 	Workload string // one of workloads.Names()
-	Cores    int    // default 1
 	Params   workloads.Params
-	// Spec selects a declarative machine description when non-nil —
-	// the path that reaches custom sizings and non-PCM backends.
-	// Design, Cores, and Config must be left zero with it.
-	Spec *machine.Spec
-	// Config overrides the derived configuration entirely when non-nil
-	// (used by the sensitivity sweeps, which mutate fields a spec does
-	// not carry). Design and Cores, if also set, must agree with it.
-	Config *config.Config
 	// Probe, when non-nil, attaches the observability layer (timeline,
 	// windowed metrics) to the run. The caller owns Probe.Close.
 	Probe *probe.Probe
 }
 
-// build resolves the options to a workload plus exactly one machine
-// source: a spec (preferred when set) or a configuration.
-func (o Options) build() (*machine.Spec, *config.Config, workloads.Workload, error) {
+// build resolves the options to the workload and the machine's core
+// count.
+func (o Options) build() (workloads.Workload, int, error) {
+	if o.Spec == nil {
+		return nil, 0, fmt.Errorf("core: Options.Spec is nil")
+	}
 	w, err := workloads.ByName(o.Workload)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, 0, err
 	}
-	if o.Spec != nil {
-		if o.Config != nil {
-			return nil, nil, nil, fmt.Errorf("core: Options.Spec and Options.Config are mutually exclusive")
-		}
-		if o.Design != 0 || o.Cores != 0 {
-			return nil, nil, nil, fmt.Errorf("core: Options.Design/Cores must be zero when Spec is set (got %v, %d)",
-				o.Design, o.Cores)
-		}
-		cfg, err := o.Spec.Config()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return o.Spec, cfg, w, nil
+	cfg, err := o.Spec.Config()
+	if err != nil {
+		return nil, 0, err
 	}
-	if cfg := o.Config; cfg != nil {
-		// A Config override wins, but a contradictory Design/Cores next
-		// to it used to be silently ignored — now it is an error. (The
-		// zero Design is NoEncryption, so a zero value cannot be told
-		// apart from "unset" and is not checked against the override.)
-		if o.Design != 0 && o.Design != cfg.Design {
-			return nil, nil, nil, fmt.Errorf("core: Options.Design (%v) contradicts Options.Config.Design (%v)",
-				o.Design, cfg.Design)
-		}
-		if o.Cores != 0 && o.Cores != cfg.NumCores {
-			return nil, nil, nil, fmt.Errorf("core: Options.Cores (%d) contradicts Options.Config.NumCores (%d)",
-				o.Cores, cfg.NumCores)
-		}
-		return nil, cfg, w, nil
-	}
-	cores := o.Cores
-	if cores == 0 {
-		cores = 1
-	}
-	return nil, config.Default(o.Design).WithCores(cores), w, nil
+	return w, cfg.NumCores, nil
 }
 
 // Result carries the measurements of one run.
@@ -108,53 +72,23 @@ type Result struct {
 	System       *replay.System // post-run system, for deeper inspection
 }
 
-// RunWorkload generates the workload's traces and replays them under the
-// selected machine (spec, config override, or design defaults).
+// RunWorkload generates the workload's traces and replays them on the
+// machine o.Spec describes.
 func RunWorkload(o Options) (Result, error) {
-	spec, cfg, w, err := o.build()
+	w, cores, err := o.build()
 	if err != nil {
 		return Result{}, err
 	}
-	traces := crash.BuildTraces(w, o.Params.WithDefaults(), cfg.NumCores)
-	if spec != nil {
-		return RunSpecTracesObserved(spec, w.Name(), traces, o.Probe)
-	}
-	return RunTracesObserved(cfg, w.Name(), traces, o.Probe)
+	traces := crash.BuildTraces(w, o.Params.WithDefaults(), cores)
+	return Run(o.Spec, w.Name(), trace.Sources(traces), o.Probe)
 }
 
-// RunTraces replays pre-built traces under the given configuration. Using
-// the same traces across designs gives the controlled comparison the
-// paper's figures rely on.
-func RunTraces(cfg *config.Config, workload string, traces []*trace.Trace) (Result, error) {
-	return RunTracesObserved(cfg, workload, traces, nil)
-}
-
-// RunTracesObserved is RunTraces with an observability probe attached to
-// the system for the duration of the run (nil probe means no observation).
-// The caller finalizes the probe with Close after inspecting the result.
-func RunTracesObserved(cfg *config.Config, workload string, traces []*trace.Trace, pb *probe.Probe) (Result, error) {
-	sys, err := replay.New(cfg, traces)
-	if err != nil {
-		return Result{}, err
-	}
-	return runSystem(sys, workload, pb)
-}
-
-// RunSpecTracesObserved replays pre-built traces on the machine a
-// declarative spec describes, with an observability probe attached (nil
-// probe means no observation).
-func RunSpecTracesObserved(spec *machine.Spec, workload string, traces []*trace.Trace, pb *probe.Probe) (Result, error) {
-	sys, err := replay.NewSpec(spec, traces)
-	if err != nil {
-		return Result{}, err
-	}
-	return runSystem(sys, workload, pb)
-}
-
-// RunSpecSourcesObserved replays trace cursors on the machine a
-// declarative spec describes — the streaming sibling of
-// RunSpecTracesObserved.
-func RunSpecSourcesObserved(spec *machine.Spec, workload string, srcs []trace.Source, pb *probe.Probe) (Result, error) {
+// Run replays trace cursors on the machine spec describes, with an
+// observability probe attached for the duration of the run (nil probe
+// means no observation; the caller finalizes it with Close after
+// inspecting the result). Replaying the same traces on several specs
+// gives the controlled comparison the paper's figures rely on.
+func Run(spec *machine.Spec, workload string, srcs []trace.Source, pb *probe.Probe) (Result, error) {
 	sys, err := replay.NewSpecSources(spec, srcs)
 	if err != nil {
 		return Result{}, err
@@ -209,15 +143,12 @@ func VerifyResult(res Result) error {
 	return nil
 }
 
-// CrashSweep injects n+1 crashes across the workload's execution under
-// the selected machine and reports recovery outcomes.
+// CrashSweep injects n+1 crashes across the workload's execution on the
+// machine o.Spec describes and reports recovery outcomes.
 func CrashSweep(o Options, points int) (crash.Report, error) {
-	spec, cfg, w, err := o.build()
+	w, _, err := o.build()
 	if err != nil {
 		return crash.Report{}, err
 	}
-	if spec != nil {
-		return crash.SweepSpecJ(spec, w, o.Params.WithDefaults(), points, 0)
-	}
-	return crash.Sweep(cfg, w, o.Params.WithDefaults(), points)
+	return crash.Sweep(o.Spec, w, o.Params.WithDefaults(), points, 0, nil)
 }

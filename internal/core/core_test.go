@@ -8,6 +8,7 @@ import (
 	"encnvm/internal/machine"
 	"encnvm/internal/mem"
 	"encnvm/internal/persist"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -22,7 +23,11 @@ func TestRunWorkloadAllDesigns(t *testing.T) {
 	for _, d := range config.AllDesigns {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
-			res, err := RunWorkload(Options{Design: d, Workload: "arrayswap", Params: tiny})
+			spec, err := machine.SpecForDesign(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunWorkload(Options{Spec: spec, Workload: "arrayswap", Params: tiny})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,8 +42,18 @@ func TestRunWorkloadAllDesigns(t *testing.T) {
 }
 
 func TestRunWorkloadUnknown(t *testing.T) {
-	if _, err := RunWorkload(Options{Design: config.SCA, Workload: "bogus"}); err == nil {
+	if _, err := RunWorkload(Options{Spec: &machine.Spec{Engine: "sca"}, Workload: "bogus"}); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// A machine is never implied: without a spec there is nothing to run.
+func TestRunWorkloadNilSpec(t *testing.T) {
+	if _, err := RunWorkload(Options{Workload: "btree", Params: tiny}); err == nil {
+		t.Fatal("nil Spec accepted")
+	}
+	if _, err := CrashSweep(Options{Workload: "btree", Params: tiny}, 2); err == nil {
+		t.Fatal("nil Spec accepted by CrashSweep")
 	}
 }
 
@@ -48,11 +63,11 @@ func TestMultiCoreThroughputScales(t *testing.T) {
 	// think time between transactions; back-to-back write bursts
 	// saturate PCM write bandwidth regardless of core count.
 	p := workloads.Params{Seed: 5, Items: 512, Ops: 48, OpsPerTx: 1, ComputeCycles: 4000}
-	one, err := RunWorkload(Options{Design: config.SCA, Workload: "hashtable", Cores: 1, Params: p})
+	one, err := RunWorkload(Options{Spec: &machine.Spec{Engine: "sca", Cores: 1}, Workload: "hashtable", Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := RunWorkload(Options{Design: config.SCA, Workload: "hashtable", Cores: 4, Params: p})
+	four, err := RunWorkload(Options{Spec: &machine.Spec{Engine: "sca", Cores: 4}, Workload: "hashtable", Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +83,8 @@ func TestRunTracesSameTraceAcrossDesigns(t *testing.T) {
 	w, _ := workloads.ByName("queue")
 	traces := crash.BuildTraces(w, tiny, 1)
 	var prevTx int
-	for i, d := range []config.Design{config.SCA, config.FCA, config.Ideal} {
-		res, err := RunTraces(config.Default(d), "queue", traces)
+	for i, engine := range []string{"sca", "fca", "ideal"} {
+		res, err := Run(&machine.Spec{Engine: engine}, "queue", trace.Sources(traces), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +96,7 @@ func TestRunTracesSameTraceAcrossDesigns(t *testing.T) {
 }
 
 func TestCrashSweepFacade(t *testing.T) {
-	rep, err := CrashSweep(Options{Design: config.SCA, Workload: "queue", Params: tiny}, 4)
+	rep, err := CrashSweep(Options{Spec: &machine.Spec{Engine: "sca"}, Workload: "queue", Params: tiny}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,52 +106,17 @@ func TestCrashSweepFacade(t *testing.T) {
 }
 
 func TestConfigOverride(t *testing.T) {
-	cfg := config.Default(config.SCA).WithCounterCacheSize(128 << 10)
-	res, err := RunWorkload(Options{Workload: "arrayswap", Params: tiny, Config: cfg})
+	spec := &machine.Spec{Engine: "sca", CounterCacheBytes: 128 << 10}
+	res, err := RunWorkload(Options{Spec: spec, Workload: "arrayswap", Params: tiny})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Design != config.SCA {
-		t.Fatalf("design = %v", res.Design)
+	if res.Design != config.SCA || res.System.Cfg.CounterCache.SizeBytes != 128<<10 {
+		t.Fatalf("ran %v with a %d-byte counter cache", res.Design, res.System.Cfg.CounterCache.SizeBytes)
 	}
 }
 
-// A Design or Cores that contradicts an explicit Config used to be
-// silently ignored; the run would quietly use the Config's values. Both
-// mismatches must now be rejected, while matching (or zero) values next
-// to a Config stay accepted.
-func TestConfigOverrideContradictions(t *testing.T) {
-	cfg := config.Default(config.SCA).WithCores(2)
-	cases := []struct {
-		name   string
-		opts   Options
-		wantOK bool
-	}{
-		{"design mismatch", Options{Workload: "arrayswap", Params: tiny, Config: cfg, Design: config.Osiris}, false},
-		{"cores mismatch", Options{Workload: "arrayswap", Params: tiny, Config: cfg, Cores: 4}, false},
-		{"design and cores match", Options{Workload: "arrayswap", Params: tiny, Config: cfg, Design: config.SCA, Cores: 2}, true},
-		{"both zero", Options{Workload: "arrayswap", Params: tiny, Config: cfg}, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			res, err := RunWorkload(c.opts)
-			if c.wantOK {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Design != config.SCA || res.Cores != 2 {
-					t.Fatalf("ran %v/%d cores, want SCA/2", res.Design, res.Cores)
-				}
-			} else if err == nil {
-				t.Fatal("contradictory Options accepted")
-			}
-		})
-	}
-}
-
-// Spec is a third, mutually exclusive machine source: combining it with
-// Config or a nonzero Design/Cores pair is an error, and on its own it
-// must drive the run end to end.
+// A registered spec drives the run end to end.
 func TestSpecOption(t *testing.T) {
 	spec, err := machine.ByName("sca")
 	if err != nil {
@@ -152,23 +132,11 @@ func TestSpecOption(t *testing.T) {
 	if err := VerifyResult(res); err != nil {
 		t.Fatalf("end-to-end verification: %v", err)
 	}
-	if _, err := RunWorkload(Options{Workload: "arrayswap", Params: tiny,
-		Spec: spec, Config: config.Default(config.SCA)}); err == nil {
-		t.Fatal("Spec+Config accepted")
-	}
-	if _, err := RunWorkload(Options{Workload: "arrayswap", Params: tiny,
-		Spec: spec, Design: config.Osiris}); err == nil {
-		t.Fatal("Spec+Design accepted")
-	}
-	if _, err := RunWorkload(Options{Workload: "arrayswap", Params: tiny,
-		Spec: spec, Cores: 2}); err == nil {
-		t.Fatal("Spec+Cores accepted")
-	}
 }
 
 func TestVerifyResultDetectsCorruption(t *testing.T) {
 	// Corrupt the final image behind VerifyResult's back: it must fail.
-	res, err := RunWorkload(Options{Design: config.NoEncryption, Workload: "queue", Params: tiny})
+	res, err := RunWorkload(Options{Spec: &machine.Spec{Engine: "noenc"}, Workload: "queue", Params: tiny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +164,7 @@ func TestVerifyResultWithoutSystem(t *testing.T) {
 func TestRunWorkloadLegacyMode(t *testing.T) {
 	p := tiny
 	p.Legacy = true
-	res, err := RunWorkload(Options{Design: config.NoEncryption, Workload: "arrayswap", Params: p})
+	res, err := RunWorkload(Options{Spec: &machine.Spec{Engine: "noenc"}, Workload: "arrayswap", Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +178,7 @@ func TestRunWorkloadLegacyMode(t *testing.T) {
 }
 
 func TestOsirisEndToEnd(t *testing.T) {
-	res, err := RunWorkload(Options{Design: config.Osiris, Workload: "btree", Params: tiny})
+	res, err := RunWorkload(Options{Spec: &machine.Spec{Engine: "osiris"}, Workload: "btree", Params: tiny})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package core_test
 import (
 	"fmt"
 
-	"encnvm/internal/config"
 	"encnvm/internal/core"
+	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
 )
 
@@ -12,7 +12,7 @@ import (
 // counter-atomicity and verifies the final encrypted NVM image end to end.
 func ExampleRunWorkload() {
 	res, err := core.RunWorkload(core.Options{
-		Design:   config.SCA,
+		Spec:     &machine.Spec{Engine: "sca"},
 		Workload: "btree",
 		Params:   workloads.Params{Seed: 1, Items: 64, Ops: 16},
 	})
@@ -30,7 +30,7 @@ func ExampleRunWorkload() {
 // many recovery attempts were inconsistent (zero under SCA).
 func ExampleCrashSweep() {
 	rep, err := core.CrashSweep(core.Options{
-		Design:   config.SCA,
+		Spec:     &machine.Spec{Engine: "sca"},
 		Workload: "queue",
 		Params:   workloads.Params{Seed: 2, Items: 32, Ops: 8},
 	}, 6)

@@ -39,7 +39,7 @@ func TestBinReplayMatchesMaterialized(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec.Cores = cores
-			want, err := RunSpecTracesObserved(spec, name, traces, nil)
+			want, err := Run(spec, name, trace.Sources(traces), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func TestBinReplayMatchesMaterialized(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec2.Cores = cores
-			got, err := RunSpecSourcesObserved(spec2, name, trace.BinSources(readers), nil)
+			got, err := Run(spec2, name, trace.BinSources(readers), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

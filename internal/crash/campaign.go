@@ -58,6 +58,7 @@ import (
 	"encnvm/internal/replay"
 	"encnvm/internal/runner"
 	"encnvm/internal/sim"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -238,7 +239,7 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	// the post-run flush phase contributes no epochs — crashes never
 	// happen after the final retire.
 	pp := perf.Begin("campaign-probe")
-	probe, err := replay.NewSpec(spec, traces)
+	probe, err := replay.NewSpecSources(spec, trace.Sources(traces))
 	if err != nil {
 		pp.End()
 		return nil, err
@@ -357,7 +358,7 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	// Cells in order are deadlines in order (see "One pass per worker").
 	ps := perf.Begin("campaign-sweep")
 	rs, events := walk(ctx, cells,
-		func() (*replay.System, error) { return replay.NewSpec(spec, traces) }, w, traces,
+		func() (*replay.System, error) { return replay.NewSpecSources(spec, trace.Sources(traces)) }, w, traces,
 		func(wk *walker, c campaignCell) (CellRecord, error) {
 			if rec, ok := done[c.Index]; ok {
 				return rec, nil // resumed: checkpointed by a previous run
@@ -446,18 +447,6 @@ func RunCampaign(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	run.NewlySimulated = newly
 	run.ReplayEvents = events
 	return run, nil
-}
-
-// SweepPerOpJ is the Report-first entry point for per-op sweeps: a
-// campaign without checkpointing, exhaustive or pruned.
-func SweepPerOpJ(spec *machine.Spec, w workloads.Workload, p workloads.Params,
-	workers int, pruned bool) (Report, error) {
-
-	run, err := RunCampaign(spec, w, p, CampaignOptions{Workers: workers, Pruned: pruned})
-	if err != nil {
-		return Report{}, err
-	}
-	return run.Report, nil
 }
 
 // refineCells splits every static class at the persist-epoch instants

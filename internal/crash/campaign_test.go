@@ -62,14 +62,15 @@ func TestCampaignPrunedMatchesExhaustive(t *testing.T) {
 		t.Run(tc.design+"/"+tc.w.Name(), func(t *testing.T) {
 			t.Parallel()
 			spec := campaignSpec(t, tc.design)
-			ex, err := SweepPerOpJ(spec, tc.w, tc.p, 0, false)
+			exRun, err := RunCampaign(spec, tc.w, tc.p, CampaignOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pr, err := SweepPerOpJ(spec, tc.w, tc.p, 0, true)
+			prRun, err := RunCampaign(spec, tc.w, tc.p, CampaignOptions{Pruned: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			ex, pr := exRun.Report, prRun.Report
 			if len(ex.Results) != ex.CrashPoints || len(pr.Results) != pr.CrashPoints ||
 				ex.CrashPoints != pr.CrashPoints {
 				t.Fatalf("crash points: exhaustive %d/%d, pruned %d/%d",

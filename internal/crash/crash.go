@@ -16,10 +16,9 @@
 // laid over it. A machine can therefore stop at one crash instant,
 // be judged, and replay on to the next. Each worker owns one machine and
 // a contiguous run of ascending crash instants, so it replays the trace
-// at most once, however many points it checks. InjectAt and
-// InjectSpecAt keep the single-shot path — a fresh machine, RunUntil,
-// then the mutating, terminal DrainADR — which the one-pass walk is
-// tested against.
+// at most once, however many points it checks. InjectAt keeps the
+// single-shot path — a fresh machine, RunUntil, then the mutating,
+// terminal DrainADR — which the one-pass walk is tested against.
 //
 // Designs with counter-atomicity (FCA, SCA, the co-located pair) must
 // survive every crash point; the Ideal design — counter-mode encryption
@@ -224,24 +223,14 @@ func decryptOracle(lay mem.Layout, enc *ctrenc.Engine,
 	return space
 }
 
-// InjectAt builds a fresh system over the given traces, crashes it at the
-// given instant, and runs recovery plus validation for every core's arena.
-func InjectAt(cfg *config.Config, w workloads.Workload, traces []*trace.Trace,
+// InjectAt builds a fresh machine from spec over the given traces,
+// crashes it at the given instant, and runs recovery plus validation for
+// every core's arena — the single-shot reference path the one-pass
+// sweeps are tested against.
+func InjectAt(spec *machine.Spec, w workloads.Workload, traces []*trace.Trace,
 	at sim.Time) (Result, error) {
 
-	sys, err := replay.New(cfg, traces)
-	if err != nil {
-		return Result{}, err
-	}
-	return injectSys(sys, w, traces, at)
-}
-
-// InjectSpecAt is InjectAt for a declarative machine spec — the path that
-// reaches custom engines, sizings, and non-PCM backends.
-func InjectSpecAt(spec *machine.Spec, w workloads.Workload, traces []*trace.Trace,
-	at sim.Time) (Result, error) {
-
-	sys, err := replay.NewSpec(spec, traces)
+	sys, err := replay.NewSpecSources(spec, trace.Sources(traces))
 	if err != nil {
 		return Result{}, err
 	}
@@ -369,60 +358,30 @@ func judge(sys *replay.System, w workloads.Workload, traces []*trace.Trace,
 	return res, nil
 }
 
-// Sweep crashes the workload at n points spread evenly over its execution
-// window and reports every outcome. The window is discovered with one
-// uncrashed probe run over the same traces. Injections fan out over
-// GOMAXPROCS workers; use SweepJ to pick the degree explicitly.
-func Sweep(cfg *config.Config, w workloads.Workload, p workloads.Params, n int) (Report, error) {
-	return SweepJ(cfg, w, p, n, 0)
-}
-
-// SweepJ is Sweep with an explicit parallelism degree (workers <= 0 uses
-// GOMAXPROCS, 1 is the sequential loop). The crash points are split into
-// one contiguous run per worker, and each worker's machine — built from
-// its own clone of cfg, since simulation instances are not goroutine-
-// safe — replays the shared read-only traces once, stopping at each of
-// its points in turn. Results are collected in crash-point order, so the
-// report is identical to the sequential sweep's for every degree.
-func SweepJ(cfg *config.Config, w workloads.Workload, p workloads.Params, n, workers int) (Report, error) {
-	traces := BuildTraces(w, p, cfg.NumCores)
-	return gridSweep(cfg.Design, cfg.Design.String(), w, traces, n, workers, nil,
-		func() (*replay.System, error) {
-			cc := *cfg // own Config per machine
-			return replay.New(&cc, traces)
-		})
-}
-
-// SweepSpecJ is SweepJ over a declarative machine spec, so custom
-// machines (non-default sizing, the DRAM backend, future engines) run
-// through the crash harness unchanged. Each worker builds its own
-// system from the spec, which is read-only throughout.
-func SweepSpecJ(spec *machine.Spec, w workloads.Workload, p workloads.Params,
-	n, workers int) (Report, error) {
-	return SweepSpecJObserved(spec, w, p, n, workers, nil)
-}
-
-// SweepSpecJObserved is SweepSpecJ with a per-point completion sink
-// (runner.Options.OnDone) attached, so front ends can stream progress
-// or aggregate host-side fleet statistics. A nil onDone is SweepSpecJ.
-func SweepSpecJObserved(spec *machine.Spec, w workloads.Workload, p workloads.Params,
+// Sweep crashes the workload at n+1 points spread evenly over its
+// execution window on the machine spec describes, and reports every
+// outcome. The window is discovered with one uncrashed probe run over
+// the same traces. The crash points are split into one contiguous run
+// per worker (workers <= 0 uses GOMAXPROCS, 1 is the sequential loop),
+// and each worker's machine — built from the read-only spec, since
+// simulation instances are not goroutine-safe — replays the shared
+// traces once, stopping at each of its points in turn. Results are
+// collected in crash-point order, so the report is identical for every
+// degree. onDone, when non-nil, receives each point's completion
+// (runner.Options.OnDone) for progress or fleet statistics.
+func Sweep(spec *machine.Spec, w workloads.Workload, p workloads.Params,
 	n, workers int, onDone func(runner.Progress)) (Report, error) {
 
+	if n < 0 {
+		return Report{}, fmt.Errorf("crash: %d crash points (want n >= 0)", n)
+	}
 	cfg, err := spec.Config()
 	if err != nil {
 		return Report{}, err
 	}
 	traces := BuildTraces(w, p, cfg.NumCores)
-	return gridSweep(cfg.Design, spec.Name, w, traces, n, workers, onDone,
-		func() (*replay.System, error) { return replay.NewSpec(spec, traces) })
-}
-
-// gridSweep is the one grid-sweep body: probe the execution window on
-// one machine from build, then walk n+1 crash points over it.
-func gridSweep(design config.Design, name string, w workloads.Workload, traces []*trace.Trace,
-	n, workers int, onDone func(runner.Progress), build func() (*replay.System, error)) (Report, error) {
-
-	rep := Report{Design: design, Workload: w.Name(), Mode: ModeGrid}
+	build := func() (*replay.System, error) { return replay.NewSpecSources(spec, trace.Sources(traces)) }
+	rep := Report{Design: cfg.Design, Workload: w.Name(), Mode: ModeGrid}
 	probe, err := build()
 	if err != nil {
 		return rep, err
@@ -443,7 +402,7 @@ func gridSweep(design config.Design, name string, w workloads.Workload, traces [
 	rs, _ := walk(context.Background(), points, build, w, traces,
 		func(wk *walker, at sim.Time) (Result, error) { return wk.injectAt(at) },
 		runner.Options{Workers: workers, OnDone: onDone, Label: func(i int) string {
-			return fmt.Sprintf("sweep/%s/%s/point%d", name, w.Name(), i)
+			return fmt.Sprintf("sweep/%s/%s/point%d", probe.Spec.Name, w.Name(), i)
 		}})
 	for _, r := range rs {
 		if r.Err != nil {

@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"encnvm/internal/config"
+	"encnvm/internal/machine"
 	"encnvm/internal/persist"
 	"encnvm/internal/replay"
 	"encnvm/internal/sim"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -14,7 +16,7 @@ var smallParams = workloads.Params{Seed: 21, Items: 24, Ops: 12, OpsPerTx: 1, Co
 
 func sweep(t *testing.T, d config.Design, w workloads.Workload, points int) Report {
 	t.Helper()
-	rep, err := Sweep(config.Default(d), w, smallParams, points)
+	rep, err := Sweep(designSpec(t, d), w, smallParams, points, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,6 +24,38 @@ func sweep(t *testing.T, d config.Design, w workloads.Workload, points int) Repo
 		t.Fatalf("results = %d, want %d", len(rep.Results), points+1)
 	}
 	return rep
+}
+
+// designSpec returns the built-in machine spec for design d.
+func designSpec(t *testing.T, d config.Design) *machine.Spec {
+	t.Helper()
+	spec, err := machine.SpecForDesign(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// A grid sweep covers n+1 points for every n >= 0; a negative count is
+// an error, never a panic or a silently shorter sweep.
+func TestSweepPointCount(t *testing.T) {
+	for _, tc := range []struct {
+		n, want int
+		ok      bool
+	}{
+		{-2, 0, false},
+		{-1, 0, false},
+		{0, 1, true},
+		{3, 4, true},
+	} {
+		rep, err := Sweep(designSpec(t, config.SCA), &workloads.Queue{}, smallParams, tc.n, 1, nil)
+		if (err == nil) != tc.ok {
+			t.Fatalf("n = %d: err = %v, want ok = %v", tc.n, err, tc.ok)
+		}
+		if len(rep.Results) != tc.want {
+			t.Fatalf("n = %d: %d points, want %d", tc.n, len(rep.Results), tc.want)
+		}
+	}
 }
 
 // TestSCASurvivesEveryCrashPoint is the paper's central correctness claim:
@@ -83,7 +117,7 @@ func TestLegacySoftwareFailsOnEncryptedNVMM(t *testing.T) {
 	failures := 0
 	lostCounters := 0
 	for _, w := range workloads.All() {
-		rep, err := Sweep(config.Default(config.Ideal), w, legacy, 24)
+		rep, err := Sweep(designSpec(t, config.Ideal), w, legacy, 24, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +141,7 @@ func TestLegacySoftwareFailsOnEncryptedNVMM(t *testing.T) {
 func TestLegacySoftwareSurvivesWithoutEncryption(t *testing.T) {
 	legacy := smallParams
 	legacy.Legacy = true
-	rep, err := Sweep(config.Default(config.NoEncryption), &workloads.ArraySwap{}, legacy, 16)
+	rep, err := Sweep(designSpec(t, config.NoEncryption), &workloads.ArraySwap{}, legacy, 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +163,9 @@ func TestCrashAtEndIsConsistent(t *testing.T) {
 func TestCrashAtZeroIsConsistent(t *testing.T) {
 	// Crashing before anything persisted must validate trivially (the
 	// structure was never published).
-	cfg := config.Default(config.SCA)
 	w := &workloads.ArraySwap{}
 	traces := BuildTraces(w, smallParams, 1)
-	res, err := InjectAt(cfg, w, traces, 0)
+	res, err := InjectAt(designSpec(t, config.SCA), w, traces, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +175,9 @@ func TestCrashAtZeroIsConsistent(t *testing.T) {
 }
 
 func TestMultiCoreCrashConsistency(t *testing.T) {
-	cfg := config.Default(config.SCA).WithCores(2)
-	rep, err := Sweep(cfg, &workloads.Queue{}, smallParams, 6)
+	spec := designSpec(t, config.SCA)
+	spec.Cores = 2
+	rep, err := Sweep(spec, &workloads.Queue{}, smallParams, 6, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +218,7 @@ func TestRedoLoggingSurvivesEveryCrashPoint(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
-			rep, err := Sweep(config.Default(config.SCA), w, p, 10)
+			rep, err := Sweep(designSpec(t, config.SCA), w, p, 10, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,13 +237,14 @@ func TestRedoRollsForwardSomewhere(t *testing.T) {
 	forward := 0
 	for _, w := range workloads.All() {
 		traces := BuildTraces(w, p, 1)
-		probe, err := replay.New(config.Default(config.SCA), traces)
+		spec := designSpec(t, config.SCA)
+		probe, err := replay.NewSpecSources(spec, trace.Sources(traces))
 		if err != nil {
 			t.Fatal(err)
 		}
 		end := probe.Run()
 		for i := 1; i <= 16; i++ {
-			res, err := InjectAt(config.Default(config.SCA), w, traces, end*sim.Time(i)/16)
+			res, err := InjectAt(spec, w, traces, end*sim.Time(i)/16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +268,7 @@ func TestOsirisMakesLegacySoftwareConsistent(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
-			rep, err := Sweep(config.Default(config.Osiris), w, legacy, 16)
+			rep, err := Sweep(designSpec(t, config.Osiris), w, legacy, 16, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +282,7 @@ func TestOsirisMakesLegacySoftwareConsistent(t *testing.T) {
 // TestOsirisSurvivesWithPaperPrimitives: the same hardware also runs the
 // paper-primitive traces consistently (the primitives become no-ops).
 func TestOsirisSurvivesWithPaperPrimitives(t *testing.T) {
-	rep, err := Sweep(config.Default(config.Osiris), &workloads.BTree{}, smallParams, 12)
+	rep, err := Sweep(designSpec(t, config.Osiris), &workloads.BTree{}, smallParams, 12, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +295,11 @@ func TestOsirisSurvivesWithPaperPrimitives(t *testing.T) {
 // find the counter within N candidates; shrink the window to 1 and it
 // still must hold (every write forces a counter writeback).
 func TestOsirisStopLossBoundsLag(t *testing.T) {
-	cfg := config.Default(config.Osiris)
-	cfg.StopLoss = 1
+	spec := designSpec(t, config.Osiris)
+	spec.StopLoss = 1
 	legacy := smallParams
 	legacy.Legacy = true
-	rep, err := Sweep(cfg, &workloads.ArraySwap{}, legacy, 12)
+	rep, err := Sweep(spec, &workloads.ArraySwap{}, legacy, 12, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +316,7 @@ func TestLinkedListCrashMatrix(t *testing.T) {
 	w := &workloads.LinkedList{}
 	for _, d := range []config.Design{config.NoEncryption, config.CoLocated,
 		config.CoLocatedCC, config.FCA, config.SCA, config.Osiris} {
-		rep, err := Sweep(config.Default(d), w, smallParams, 12)
+		rep, err := Sweep(designSpec(t, d), w, smallParams, 12, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +328,7 @@ func TestLinkedListCrashMatrix(t *testing.T) {
 	legacy := smallParams
 	legacy.Legacy = true
 	legacy.Ops = 24
-	rep, err := Sweep(config.Default(config.Ideal), w, legacy, 24)
+	rep, err := Sweep(designSpec(t, config.Ideal), w, legacy, 24, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,23 +341,23 @@ func TestLinkedListCrashMatrix(t *testing.T) {
 // candidate-search work, and the per-line trial count must respect the
 // stop-loss bound.
 func TestOsirisRecoveryCostAccounted(t *testing.T) {
-	cfg := config.Default(config.Osiris)
+	spec := designSpec(t, config.Osiris)
 	p := smallParams
 	p.Legacy = true
 	traces := BuildTraces(&workloads.ArraySwap{}, p, 1)
-	probe, err := replay.New(cfg, traces)
+	probe, err := replay.NewSpecSources(spec, trace.Sources(traces))
 	if err != nil {
 		t.Fatal(err)
 	}
 	end := probe.Run()
-	res, err := InjectAt(cfg, &workloads.ArraySwap{}, traces, end/2)
+	res, err := InjectAt(spec, &workloads.ArraySwap{}, traces, end/2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Osiris.Lines == 0 || res.Osiris.Trials == 0 {
 		t.Fatalf("no recovery cost recorded: %+v", res.Osiris)
 	}
-	maxTrials := res.Osiris.Lines * (cfg.StopLoss + 1)
+	maxTrials := res.Osiris.Lines * (probe.Cfg.StopLoss + 1)
 	if res.Osiris.Trials > maxTrials {
 		t.Fatalf("trials %d exceed stop-loss bound %d", res.Osiris.Trials, maxTrials)
 	}
@@ -334,9 +369,10 @@ func TestOsirisRecoveryCostAccounted(t *testing.T) {
 // TestFourCoreCrashConsistency stresses the shared controller with four
 // cores mid-flight at every crash point.
 func TestFourCoreCrashConsistency(t *testing.T) {
-	cfg := config.Default(config.SCA).WithCores(4)
+	spec := designSpec(t, config.SCA)
+	spec.Cores = 4
 	for _, w := range []workloads.Workload{&workloads.HashTable{}, &workloads.LinkedList{}} {
-		rep, err := Sweep(cfg, w, smallParams, 6)
+		rep, err := Sweep(spec, w, smallParams, 6, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +410,7 @@ func reportsEqual(t *testing.T, seq, par Report) {
 	}
 }
 
-// TestSweepParallelDeterministic pins SweepJ's central property: the
+// TestSweepParallelDeterministic pins Sweep's central property: the
 // sequential (workers=1) and parallel (workers=8) sweeps produce
 // identical reports, across two seeds and on both a surviving design
 // (SCA) and one with real failures (legacy software on Ideal).
@@ -392,11 +428,11 @@ func TestSweepParallelDeterministic(t *testing.T) {
 			pp := p
 			pp.Legacy = tc.legacy
 			w := &workloads.ArraySwap{}
-			seq, err := SweepJ(config.Default(tc.design), w, pp, 10, 1)
+			seq, err := Sweep(designSpec(t, tc.design), w, pp, 10, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := SweepJ(config.Default(tc.design), w, pp, 10, 8)
+			par, err := Sweep(designSpec(t, tc.design), w, pp, 10, 8, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"encnvm/internal/machine"
 	"encnvm/internal/persist"
 	"encnvm/internal/replay"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -19,7 +20,7 @@ var onePassParams = workloads.Params{Seed: 5, Items: 2, Ops: 2, OpsPerTx: 1}
 const freshSamples = 32
 
 // The one-pass campaign must equal the path it replaced: a fresh
-// machine per gap, crashed with InjectSpecAt (RunUntil, then the
+// machine per gap, crashed with InjectAt (RunUntil, then the
 // mutating DrainADR). Every registered design and workload, both
 // transaction modes, paper and legacy primitives. The exhaustive
 // campaign stops its machines at every gap; freshSamples of them,
@@ -61,7 +62,7 @@ func checkOnePass(t *testing.T, spec *machine.Spec, w workloads.Workload, p work
 		if g%stride != seq%stride && g != gaps-1 {
 			continue
 		}
-		want, err := InjectSpecAt(spec, w, traces, got.CrashAt)
+		want, err := InjectAt(spec, w, traces, got.CrashAt)
 		if err != nil {
 			t.Fatalf("%s: gap %d: %v", what, g, err)
 		}
@@ -99,7 +100,7 @@ func TestCampaignReplaysAtMostOncePerWorker(t *testing.T) {
 	spec := campaignSpec(t, "sca")
 	w := &workloads.BTree{}
 	traces := BuildTraces(w, campaignParams, 1)
-	sys, err := replay.NewSpec(spec, traces)
+	sys, err := replay.NewSpecSources(spec, trace.Sources(traces))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func Fig4(sc Scale, out io.Writer) (Fig4Result, error) {
 	legacy := p
 	legacy.Legacy = true
 	for _, w := range workloads.All() {
-		rep, err := crash.SweepJ(config.Default(config.Ideal), w, legacy, sc.CrashPoints, sc.Jobs)
+		rep, err := crash.Sweep(&machine.Spec{Engine: "ideal"}, w, legacy, sc.CrashPoints, sc.Jobs, nil)
 		if err != nil {
 			return res, err
 		}
@@ -74,7 +74,7 @@ func Fig4(sc Scale, out io.Writer) (Fig4Result, error) {
 			w.Name(), len(rep.Failures()), len(rep.Results))
 	}
 	for _, w := range workloads.All() {
-		rep, err := crash.SweepJ(config.Default(config.SCA), w, p, sc.CrashPoints, sc.Jobs)
+		rep, err := crash.Sweep(&machine.Spec{Engine: "sca"}, w, p, sc.CrashPoints, sc.Jobs, nil)
 		if err != nil {
 			return res, err
 		}
@@ -103,10 +103,9 @@ type Fig8Result struct {
 // write does, so the stage writes coalesce counters and complete sooner.
 func Fig8(out io.Writer) (Fig8Result, error) {
 	var res Fig8Result
-	run := func(d config.Design) (sim.Time, error) {
-		cfg := config.Default(d)
-		cfg.CounterWriteQueue = 4 // make the pairing pressure visible
-		m, err := machine.FromConfig(cfg)
+	run := func(engine string) (sim.Time, error) {
+		// A 4-entry counter queue makes the pairing pressure visible.
+		m, err := machine.Build(&machine.Spec{Engine: engine, CounterWriteQueue: 4})
 		if err != nil {
 			return 0, err
 		}
@@ -127,10 +126,10 @@ func Fig8(out io.Writer) (Fig8Result, error) {
 		return doneAt, nil
 	}
 	var err error
-	if res.FCA, err = run(config.FCA); err != nil {
+	if res.FCA, err = run("fca"); err != nil {
 		return res, err
 	}
-	if res.SCA, err = run(config.SCA); err != nil {
+	if res.SCA, err = run("sca"); err != nil {
 		return res, err
 	}
 	header(out, "Figure 7/8: stage-write timeline, 8 stage writes + 1 commit write")

@@ -21,6 +21,7 @@ import (
 	"encnvm/internal/config"
 	"encnvm/internal/core"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/runner"
 	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
@@ -180,8 +181,12 @@ func (tc *traceCache) drop(w workloads.Workload) {
 
 // run replays a workload's cached traces under one design.
 func (tc *traceCache) run(d config.Design, w workloads.Workload, cores int) (core.Result, error) {
-	cfg := config.Default(d).WithCores(cores)
-	return core.RunTraces(cfg, w.Name(), tc.get(w, cores))
+	spec, err := machine.SpecForDesign(d)
+	if err != nil {
+		return core.Result{}, err
+	}
+	spec.Cores = cores
+	return core.Run(spec, w.Name(), trace.Sources(tc.get(w, cores)), nil)
 }
 
 // geomean returns the geometric mean, the paper's cross-workload average.

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 
-	"encnvm/internal/config"
 	"encnvm/internal/core"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/runner"
 	"encnvm/internal/stats"
 	"encnvm/internal/trace"
@@ -62,8 +62,8 @@ func Fig15(sc Scale, out io.Writer) (Fig15Result, error) {
 	}
 	rs, err := runner.MapValues(context.Background(), cells,
 		func(_ context.Context, c cell) (core.Result, error) {
-			cfg := config.Default(config.SCA).WithCounterCacheSize(sc.Fig15CacheSizes[c.ci])
-			return core.RunTraces(cfg, w.Name(), traceSets[c.fi])
+			spec := &machine.Spec{Engine: "sca", CounterCacheBytes: sc.Fig15CacheSizes[c.ci]}
+			return core.Run(spec, w.Name(), trace.Sources(traceSets[c.fi]), nil)
 		},
 		sc.cellOpts(func(i int) string {
 			return fmt.Sprintf("fig15/%dKB/%dKB",

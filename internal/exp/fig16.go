@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"io"
 
-	"encnvm/internal/config"
 	"encnvm/internal/core"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/runner"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -61,11 +62,11 @@ func Fig16(sc Scale, out io.Writer) (Fig16Result, error) {
 			p.Ops = p.OpsPerTx * max(16, sc.Params.Ops/8)
 			traces := crash.BuildTraces(c.w, p, 1)
 
-			ideal, err := core.RunTraces(config.Default(config.Ideal), c.w.Name(), traces)
+			ideal, err := core.Run(&machine.Spec{Engine: "ideal"}, c.w.Name(), trace.Sources(traces), nil)
 			if err != nil {
 				return 0, err
 			}
-			sca, err := core.RunTraces(config.Default(config.SCA), c.w.Name(), traces)
+			sca, err := core.Run(&machine.Spec{Engine: "sca"}, c.w.Name(), trace.Sources(traces), nil)
 			if err != nil {
 				return 0, err
 			}

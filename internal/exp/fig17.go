@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"io"
 
-	"encnvm/internal/config"
 	"encnvm/internal/core"
+	"encnvm/internal/machine"
 	"encnvm/internal/runner"
+	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -63,13 +64,13 @@ func Fig17(sc Scale, out io.Writer) (Fig17Result, error) {
 	ratios, err := runner.MapValues(context.Background(), cells,
 		func(_ context.Context, c cell) (float64, error) {
 			traces := tc.get(c.w, 1)
-			colo, err := core.RunTraces(
-				config.Default(config.CoLocated).WithNVMLatencyScale(c.readX, c.writeX), c.w.Name(), traces)
+			colo, err := core.Run(&machine.Spec{Engine: "colocated", ReadLatencyX: c.readX, WriteLatencyX: c.writeX},
+				c.w.Name(), trace.Sources(traces), nil)
 			if err != nil {
 				return 0, err
 			}
-			sca, err := core.RunTraces(
-				config.Default(config.SCA).WithNVMLatencyScale(c.readX, c.writeX), c.w.Name(), traces)
+			sca, err := core.Run(&machine.Spec{Engine: "sca", ReadLatencyX: c.readX, WriteLatencyX: c.writeX},
+				c.w.Name(), trace.Sources(traces), nil)
 			if err != nil {
 				return 0, err
 			}
@@ -117,13 +118,13 @@ func fig17ArraySwapOnly(sc Scale) ([]float64, error) {
 	var out []float64
 	for _, f := range sc.Fig17Factors {
 		traces := tc.get(w, 1)
-		colo, err := core.RunTraces(
-			config.Default(config.CoLocated).WithNVMLatencyScale(f, 1), w.Name(), traces)
+		colo, err := core.Run(&machine.Spec{Engine: "colocated", ReadLatencyX: f},
+			w.Name(), trace.Sources(traces), nil)
 		if err != nil {
 			return nil, err
 		}
-		sca, err := core.RunTraces(
-			config.Default(config.SCA).WithNVMLatencyScale(f, 1), w.Name(), traces)
+		sca, err := core.Run(&machine.Spec{Engine: "sca", ReadLatencyX: f},
+			w.Name(), trace.Sources(traces), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"encnvm/internal/config"
 	"encnvm/internal/crash"
+	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
 )
 
@@ -67,7 +68,7 @@ func Osiris(sc Scale, out io.Writer) (OsirisResult, error) {
 	p.Legacy = true
 	var trials, lines int
 	for _, w := range workloads.All() {
-		rep, err := crash.SweepJ(config.Default(config.Osiris), w, p, sc.CrashPoints, sc.Jobs)
+		rep, err := crash.Sweep(&machine.Spec{Engine: "osiris"}, w, p, sc.CrashPoints, sc.Jobs, nil)
 		if err != nil {
 			return res, err
 		}

@@ -47,7 +47,8 @@ type Machine struct {
 }
 
 // Build assembles a machine from a spec: resolve the component names,
-// derive the configuration, and wire engine → device → controller.
+// derive the configuration, and wire engine → device → controller. Every
+// machine gets its own freshly derived Config.
 func Build(s *Spec) (*Machine, error) {
 	r, err := s.Resolved()
 	if err != nil {
@@ -59,37 +60,11 @@ func Build(s *Spec) (*Machine, error) {
 	}
 	meta, _ := engines.ByName(r.Engine)
 	back, _ := nvm.BackendByName(r.Backend)
-	return assemble(r, cfg, meta, back), nil
-}
-
-// FromConfig assembles a machine directly from a configuration — the
-// compatibility path for the sensitivity sweeps, which mutate Config
-// fields (timing scale, queue depths) that a spec round-trip would not
-// necessarily preserve. The config is used verbatim; the engine is the
-// one implementing cfg.Design and the backend is PCM.
-func FromConfig(cfg *config.Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	meta, err := engines.ForDesign(cfg.Design)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := SpecFromConfig(cfg, nvm.PCM)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(spec, cfg, meta, nvm.PCM), nil
-}
-
-// assemble wires the components. cfg is shared, not copied: the caller
-// owns any cloning (sweeps clone per cell before building).
-func assemble(spec *Spec, cfg *config.Config, meta engines.Policy, back Backend) *Machine {
 	eng := sim.New()
 	st := stats.New()
 	dev := nvm.NewWithBackend(eng, cfg, back, st)
 	return &Machine{
-		Spec: spec,
+		Spec: r,
 		Cfg:  cfg,
 		Meta: meta,
 		Back: back,
@@ -98,5 +73,5 @@ func assemble(spec *Spec, cfg *config.Config, meta engines.Policy, back Backend)
 		Dev:  dev,
 		MC:   memctrl.New(eng, cfg, meta, dev, st),
 		L2:   cache.New(cfg.L2),
-	}
+	}, nil
 }

@@ -178,21 +178,18 @@ func (s *Spec) Config() (*config.Config, error) {
 }
 
 // SpecFromConfig mirrors a configuration back into its fully-resolved
-// spec (the spec sweep-mutated configs embed in manifests). The backend
-// is the one the device was actually built over when known; callers on
-// the config-only path pass nvm.PCM.
-func SpecFromConfig(cfg *config.Config, backend nvm.Backend) (*Spec, error) {
+// spec on the PCM backend. Not every configuration has one: a spec
+// carries only the sizing knobs, so callers that need the exact machine
+// compare the spec's Config with the original.
+func SpecFromConfig(cfg *config.Config) (*Spec, error) {
 	meta, err := engines.ForDesign(cfg.Design)
 	if err != nil {
 		return nil, err
 	}
-	if backend == nil {
-		backend = nvm.PCM
-	}
 	return &Spec{
 		Name:              meta.Name,
 		Engine:            meta.Name,
-		Backend:           backend.Name(),
+		Backend:           nvm.PCM.Name(),
 		Cores:             cfg.NumCores,
 		L1Bytes:           cfg.L1.SizeBytes,
 		L2Bytes:           cfg.L2.SizeBytes,

@@ -179,9 +179,10 @@ func TestWriteAtBypassesTiming(t *testing.T) {
 
 func TestLatencyScalingAffectsDevice(t *testing.T) {
 	cfg := config.Default(config.SCA)
-	slow := cfg.WithNVMLatencyScale(10, 1)
+	slow := *cfg
+	slow.ReadLatencyX = 10
 	devBase := New(sim.New(), cfg, stats.New())
-	devSlow := New(sim.New(), slow, stats.New())
+	devSlow := New(sim.New(), &slow, stats.New())
 	if devSlow.ReadLatency(64) <= devBase.ReadLatency(64) {
 		t.Fatal("10x read scaling did not slow reads")
 	}

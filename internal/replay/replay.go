@@ -101,39 +101,47 @@ type core struct {
 // stage and opens the next.
 var txStageNames = [...]string{"log", "log-seal", "mutate", "commit-switch"}
 
-// New builds a system that will replay one trace per core. len(traces)
-// must equal cfg.NumCores. The machine is assembled through the builder
-// (machine.FromConfig): PCM backend, engine chosen by cfg.Design.
+// New builds a system for a configuration that a machine spec can
+// express: cfg must be valid, and its spec must resolve back to a Config
+// equal to cfg (sizing and latency knobs only, PCM backend). Any other
+// configuration is an error. New exists for callers that still name
+// machines by configuration (the encbench module); everything else
+// passes a spec.
 func New(cfg *config.Config, traces []*trace.Trace) (*System, error) {
-	m, err := machine.FromConfig(cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	spec, err := machine.SpecFromConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return NewMachineSources(m, trace.Sources(traces))
+	back, err := spec.Config()
+	if err != nil {
+		return nil, err
+	}
+	if *back != *cfg {
+		return nil, fmt.Errorf("replay: configuration for %v is not expressible as a machine spec", cfg.Design)
+	}
+	return NewSpec(spec, traces)
 }
 
-// NewSpec builds a system for a declarative machine spec — the path that
-// reaches custom engines, sizings, and non-PCM backends.
+// NewSpec is NewSpecSources over materialized traces, kept for callers
+// outside this module (encbench).
 func NewSpec(spec *machine.Spec, traces []*trace.Trace) (*System, error) {
 	return NewSpecSources(spec, trace.Sources(traces))
 }
 
-// NewSpecSources is NewSpec over trace cursors.
+// NewSpecSources builds the machine a spec describes and attaches replay
+// cores that iterate trace cursors. len(srcs) must equal the machine's
+// core count. Every source is validated (BinReader validates at
+// construction and reports nil here), and the source lengths pre-size
+// the event queue, the device write log, and the per-transaction history
+// so the replay hot loop runs without growth allocations.
 func NewSpecSources(spec *machine.Spec, srcs []trace.Source) (*System, error) {
 	m, err := machine.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	return NewMachineSources(m, srcs)
-}
-
-// NewMachineSources attaches replay cores that iterate trace cursors to
-// an assembled machine. len(srcs) must equal the machine's core count.
-// Every source is validated (BinReader validates at construction and
-// reports nil here), and the source lengths pre-size the event queue,
-// the device write log, and the per-transaction history so the replay
-// hot loop runs without growth allocations.
-func NewMachineSources(m *machine.Machine, srcs []trace.Source) (*System, error) {
 	cfg := m.Cfg
 	if len(srcs) != cfg.NumCores {
 		return nil, fmt.Errorf("replay: %d traces for %d cores", len(srcs), cfg.NumCores)

@@ -5,6 +5,7 @@ import (
 
 	"encnvm/internal/config"
 	"encnvm/internal/ctrenc"
+	"encnvm/internal/machine"
 	"encnvm/internal/mem"
 	"encnvm/internal/sim"
 	"encnvm/internal/stats"
@@ -36,13 +37,24 @@ func simpleTrace(base mem.Addr, n int) *trace.Trace {
 
 func runOne(t *testing.T, d config.Design, trs ...*trace.Trace) (*System, sim.Time) {
 	t.Helper()
-	cfg := config.Default(d).WithCores(len(trs))
-	sys, err := New(cfg, trs)
+	sys, err := NewSpec(designSpec(t, d, len(trs)), trs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := sys.Run()
 	return sys, rt
+}
+
+// designSpec returns the built-in spec for design d on the given number
+// of cores.
+func designSpec(t *testing.T, d config.Design, cores int) *machine.Spec {
+	t.Helper()
+	spec, err := machine.SpecForDesign(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Cores = cores
+	return spec
 }
 
 // decrypt reads a line from the final image through the design's
@@ -62,8 +74,7 @@ func decrypt(sys *System, addr mem.Addr) (mem.Line, bool) {
 }
 
 func TestTraceCountMismatch(t *testing.T) {
-	cfg := config.Default(config.SCA) // 1 core
-	if _, err := New(cfg, []*trace.Trace{{}, {}}); err == nil {
+	if _, err := NewSpec(designSpec(t, config.SCA, 1), []*trace.Trace{{}, {}}); err == nil {
 		t.Fatal("2 traces on 1 core accepted")
 	}
 }
@@ -208,8 +219,7 @@ func TestThroughputAccounting(t *testing.T) {
 }
 
 func TestRunUntilStopsEarly(t *testing.T) {
-	cfg := config.Default(config.SCA)
-	sys, err := New(cfg, []*trace.Trace{simpleTrace(0, 16)})
+	sys, err := NewSpec(designSpec(t, config.SCA, 1), []*trace.Trace{simpleTrace(0, 16)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +344,47 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// New accepts exactly the configurations a spec can express, and the
+// system it builds runs that configuration unchanged.
+func TestNewAcceptsSpecExpressibleConfigs(t *testing.T) {
+	fca := config.Default(config.FCA)
+	fca.CounterWriteQueue = 4
+	for _, cfg := range []*config.Config{config.Default(config.SCA).WithCores(2), fca} {
+		trs := make([]*trace.Trace, cfg.NumCores)
+		for i := range trs {
+			trs[i] = simpleTrace(mem.Addr(i)<<20, 2)
+		}
+		sys, err := New(cfg, trs)
+		if err != nil {
+			t.Fatalf("%v/%d cores: %v", cfg.Design, cfg.NumCores, err)
+		}
+		if *sys.Cfg != *cfg {
+			t.Fatalf("%v: system runs %+v, want %+v", cfg.Design, *sys.Cfg, *cfg)
+		}
+	}
+}
+
+// A configuration no spec expresses — a knob outside the spec's fields —
+// is an error, not a silently different machine.
+func TestNewRejectsInexpressibleConfigs(t *testing.T) {
+	cases := map[string]func(*config.Config){
+		"zero cores":       func(c *config.Config) { c.NumCores = 0 },
+		"write recovery":   func(c *config.Config) { c.Timing.TWR *= 2 },
+		"L1 associativity": func(c *config.Config) { c.L1.Ways = 4 },
+	}
+	for name, mutate := range cases {
+		cfg := config.Default(config.SCA)
+		mutate(cfg)
+		if _, err := New(cfg, []*trace.Trace{simpleTrace(0, 2)}); err == nil {
+			t.Errorf("%s: config accepted", name)
+		}
+	}
+}
+
 func TestNewRejectsInvalidTrace(t *testing.T) {
 	bad := &trace.Trace{}
 	bad.Append(trace.Op{Kind: trace.TxEnd}) // unbalanced
-	if _, err := New(config.Default(config.SCA), []*trace.Trace{bad}); err == nil {
+	if _, err := NewSpec(designSpec(t, config.SCA, 1), []*trace.Trace{bad}); err == nil {
 		t.Fatal("invalid trace accepted")
 	}
 }

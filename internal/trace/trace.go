@@ -170,10 +170,10 @@ func (t *Trace) Transactions() int {
 // Validate checks whole-trace structural sanity on top of the per-op
 // Op.Validate: every op well-formed, transaction markers balanced and
 // unnested (the runtime's model is one open transaction per core). Every
-// trace ingestion point — replay.New, the crash harness, traceinfo, the
-// static verifier — calls this before trusting the stream; op indices in
-// downstream diagnostics are positions in Ops and are monotone by
-// construction.
+// trace ingestion point — replay.NewSpecSources, the crash harness,
+// traceinfo, the static verifier — calls this before trusting the
+// stream; op indices in downstream diagnostics are positions in Ops and
+// are monotone by construction.
 func (t *Trace) Validate() error {
 	var tx txTracker
 	for i := range t.Ops {
