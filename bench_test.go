@@ -99,7 +99,7 @@ func BenchmarkFig12SingleCore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sca = res.Average[config.SCA]
+		sca = res.Average["sca"]
 	}
 	b.ReportMetric(sca, "sca-vs-noenc")
 }
@@ -127,7 +127,7 @@ func BenchmarkFig14WriteTraffic(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sca = res.Average[config.SCA]
+		sca = res.Average["sca"]
 	}
 	b.ReportMetric(sca, "sca-traffic-vs-noenc")
 }

@@ -30,11 +30,14 @@ import (
 	"encnvm/internal/probe"
 )
 
-// figureRunners builds the ordered figure list writing to out.
+// figureRunners builds the ordered figure list writing to out. Every
+// figure reads one session, so a cell several figures share is
+// simulated once per invocation.
 func figureRunners(sc exp.Scale, out io.Writer) []struct {
 	name string
 	fn   func() error
 } {
+	s := exp.NewSession(sc)
 	return []struct {
 		name string
 		fn   func() error
@@ -43,15 +46,15 @@ func figureRunners(sc exp.Scale, out io.Writer) []struct {
 		{"table1", func() error { return exp.Table1(out) }},
 		{"fig4", func() error { _, err := exp.Fig4(sc, out); return err }},
 		{"fig8", func() error { _, err := exp.Fig8(out); return err }},
-		{"fig12", func() error { _, err := exp.Fig12(sc, out); return err }},
-		{"fig13", func() error { _, err := exp.Fig13(sc, out); return err }},
-		{"fig14", func() error { _, err := exp.Fig14(sc, out); return err }},
-		{"fig15", func() error { _, err := exp.Fig15(sc, out); return err }},
+		{"fig12", func() error { _, err := s.Fig12(out); return err }},
+		{"fig13", func() error { _, err := s.Fig13(out); return err }},
+		{"fig14", func() error { _, err := s.Fig14(out); return err }},
+		{"fig15", func() error { _, err := s.Fig15(out); return err }},
 		{"fig16", func() error { _, err := exp.Fig16(sc, out); return err }},
-		{"fig17", func() error { _, err := exp.Fig17(sc, out); return err }},
-		{"lifetime", func() error { _, err := exp.Lifetime(sc, out); return err }},
-		{"osiris", func() error { _, err := exp.Osiris(sc, out); return err }},
-		{"integrity", func() error { _, err := exp.Integrity(sc, out); return err }},
+		{"fig17", func() error { _, err := s.Fig17(out); return err }},
+		{"lifetime", func() error { _, err := s.Lifetime(out); return err }},
+		{"osiris", func() error { _, err := s.Osiris(out); return err }},
+		{"integrity", func() error { _, err := s.Integrity(out); return err }},
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // LockOrder flags the concurrency hazards that internal/runner's worker
-// pool and exp's traceCache must stay free of:
+// pool and exp's Session must stay free of:
 //
 //   - inconsistent mutex acquisition order: lock A held while B is
 //     acquired in one place and the reverse elsewhere (a deadlock cycle),
@@ -20,7 +20,7 @@ import (
 //
 // Lock identity is syntactic: the rendered selector path with the
 // method's receiver variable normalized to its type name, prefixed with
-// the package ("runner.doneMu", "exp.traceCache.mu"). Branch bodies
+// the package ("runner.doneMu", "exp.Session.mu"). Branch bodies
 // analyze with a copy of the held set, so balanced lock/unlock inside a
 // branch does not leak; defer x.Unlock() keeps the lock held to the end
 // of the function, which is exactly the window the checks care about.

@@ -53,9 +53,12 @@ type Fig4Result struct {
 // Fig4 reproduces the §2.2/Fig. 3-4 motivating failure: legacy
 // crash-consistent software on an encrypted NVMM loses data/counter sync
 // at power failure, while the same workloads with the paper's primitives
-// under SCA recover at every crash point.
-func Fig4(sc Scale, out io.Writer) (Fig4Result, error) {
+// under SCA recover at every crash point. Its crash sweeps share no
+// cells with other figures, so it runs outside any session. It returns
+// the first write error.
+func Fig4(sc Scale, w io.Writer) (Fig4Result, error) {
 	var res Fig4Result
+	out := &errWriter{w: w}
 	header(out, "Figure 3/4: crash-recovery consistency (crash-point sweeps)")
 	p := sc.Params
 	p.Items = min(p.Items, 128) // crash sweeps replay once per point
@@ -63,27 +66,27 @@ func Fig4(sc Scale, out io.Writer) (Fig4Result, error) {
 
 	legacy := p
 	legacy.Legacy = true
-	for _, w := range workloads.All() {
-		rep, err := crash.Sweep(&machine.Spec{Engine: "ideal"}, w, legacy, sc.CrashPoints, sc.Jobs, nil)
+	for _, wl := range workloads.All() {
+		rep, err := crash.Sweep(&machine.Spec{Engine: "ideal"}, wl, legacy, sc.CrashPoints, sc.Jobs, nil)
 		if err != nil {
 			return res, err
 		}
 		res.LegacyFailures += len(rep.Failures())
 		res.LegacyPoints += len(rep.Results)
 		fmt.Fprintf(out, "legacy software on encrypted NVMM  %-10s %3d/%3d crash points inconsistent\n",
-			w.Name(), len(rep.Failures()), len(rep.Results))
+			wl.Name(), len(rep.Failures()), len(rep.Results))
 	}
-	for _, w := range workloads.All() {
-		rep, err := crash.Sweep(&machine.Spec{Engine: "sca"}, w, p, sc.CrashPoints, sc.Jobs, nil)
+	for _, wl := range workloads.All() {
+		rep, err := crash.Sweep(&machine.Spec{Engine: "sca"}, wl, p, sc.CrashPoints, sc.Jobs, nil)
 		if err != nil {
 			return res, err
 		}
 		res.SCAFailures += len(rep.Failures())
 		res.SCAPoints += len(rep.Results)
 		fmt.Fprintf(out, "SCA primitives + SCA hardware      %-10s %3d/%3d crash points inconsistent\n",
-			w.Name(), len(rep.Failures()), len(rep.Results))
+			wl.Name(), len(rep.Failures()), len(rep.Results))
 	}
-	return res, nil
+	return res, out.err
 }
 
 // Fig8Result captures the transaction-stage write timelines under FCA and
@@ -101,7 +104,8 @@ type Fig8Result struct {
 // commit write. Under FCA every write pairs with a counter write through
 // the 16-entry counter queue in FIFO order; under SCA only the commit
 // write does, so the stage writes coalesce counters and complete sooner.
-func Fig8(out io.Writer) (Fig8Result, error) {
+// It returns the first write error.
+func Fig8(w io.Writer) (Fig8Result, error) {
 	var res Fig8Result
 	run := func(engine string) (sim.Time, error) {
 		// A 4-entry counter queue makes the pairing pressure visible.
@@ -132,10 +136,11 @@ func Fig8(out io.Writer) (Fig8Result, error) {
 	if res.SCA, err = run("sca"); err != nil {
 		return res, err
 	}
+	out := &errWriter{w: w}
 	header(out, "Figure 7/8: stage-write timeline, 8 stage writes + 1 commit write")
 	fmt.Fprintf(out, "FCA: commit write persistence-guaranteed at %8.1f ns (every write counter-paired, FIFO)\n", res.FCA.Nanoseconds())
 	fmt.Fprintf(out, "SCA: commit write persistence-guaranteed at %8.1f ns (stage counters coalesced)\n", res.SCA.Nanoseconds())
-	return res, nil
+	return res, out.err
 }
 
 // Table1 prints the per-stage consistency analysis of an undo-logging

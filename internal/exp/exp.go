@@ -6,24 +6,23 @@
 // transaction-stage analysis (Table 1 / Fig. 8), and the motivating crash
 // failure (Figs. 3/4).
 //
+// The simulation-backed figures are methods of a Session, one per
+// experiments run, so a cell several figures share is simulated once;
+// the package-level functions of the same names run one figure in a
+// one-shot session.
+//
 // Absolute numbers come from this repository's own simulator, not the
 // authors' Gem5 testbed; the quantities that must (and do) reproduce are
 // the orderings and trends — see EXPERIMENTS.md.
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
-	"encnvm/internal/config"
-	"encnvm/internal/core"
-	"encnvm/internal/crash"
-	"encnvm/internal/machine"
+	"encnvm/internal/machine/engines"
 	"encnvm/internal/runner"
-	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -117,78 +116,6 @@ func (sc Scale) ParamsFor(name string) workloads.Params {
 	return p
 }
 
-// traceCache builds each workload's traces once per core count and reuses
-// them across designs — the controlled comparison every figure relies on.
-// It is goroutine-safe: parallel cells may get concurrently, and warm
-// builds several workloads' traces at once. Builds are deterministic
-// functions of (workload, params, cores), so whichever cell builds first
-// caches exactly the traces the sequential loop would have.
-type traceCache struct {
-	scale Scale
-	mu    sync.Mutex
-	byKey map[string][]*trace.Trace
-}
-
-func newTraceCache(sc Scale) *traceCache {
-	return &traceCache{scale: sc, byKey: make(map[string][]*trace.Trace)}
-}
-
-func (tc *traceCache) get(w workloads.Workload, cores int) []*trace.Trace {
-	// Per-core traces depend only on (workload, core index), so the
-	// n-core trace set is a prefix of any larger one; cache the largest
-	// built so far and slice.
-	key := w.Name()
-	tc.mu.Lock()
-	tr := tc.byKey[key]
-	tc.mu.Unlock()
-	if len(tr) >= cores {
-		return tr[:cores]
-	}
-	built := crash.BuildTraces(w, tc.scale.ParamsFor(key), cores)
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	// A concurrent get may have raced the build; keep the larger set so
-	// smaller core counts keep sharing its prefix.
-	if cur := tc.byKey[key]; len(cur) >= len(built) {
-		built = cur
-	} else {
-		tc.byKey[key] = built
-	}
-	return built[:cores]
-}
-
-// warm builds every listed workload's traces up front — concurrently,
-// under the scale's fan-out degree — so a following cell fan-out only
-// reads the cache. Trace building errors do not exist (builds panic only
-// on harness bugs, which the runner would surface as PanicErrors), so
-// warm ignores the results.
-func (tc *traceCache) warm(sc Scale, ws []workloads.Workload, cores int) {
-	runner.Map(context.Background(), ws,
-		func(_ context.Context, w workloads.Workload) (struct{}, error) {
-			tc.get(w, cores)
-			return struct{}{}, nil
-		},
-		sc.cellOpts(func(i int) string { return "warm/" + ws[i].Name() }))
-}
-
-// drop releases a workload's cached traces; multi-gigabyte sweeps call it
-// per workload to bound peak memory.
-func (tc *traceCache) drop(w workloads.Workload) {
-	tc.mu.Lock()
-	delete(tc.byKey, w.Name())
-	tc.mu.Unlock()
-}
-
-// run replays a workload's cached traces under one design.
-func (tc *traceCache) run(d config.Design, w workloads.Workload, cores int) (core.Result, error) {
-	spec, err := machine.SpecForDesign(d)
-	if err != nil {
-		return core.Result{}, err
-	}
-	spec.Cores = cores
-	return core.Run(spec, w.Name(), trace.Sources(tc.get(w, cores)), nil)
-}
-
 // geomean returns the geometric mean, the paper's cross-workload average.
 func geomean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -229,4 +156,11 @@ func (ew *errWriter) Write(p []byte) (int, error) {
 		ew.err = err
 	}
 	return n, err
+}
+
+// label is an engine's column label: its design's name as the paper
+// prints it.
+func label(engine string) string {
+	p, _ := engines.ByName(engine)
+	return p.Design.String()
 }

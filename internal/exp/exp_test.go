@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"encnvm/internal/config"
 	"encnvm/internal/workloads"
 )
 
@@ -57,12 +56,12 @@ func TestFig12ShapeQuick(t *testing.T) {
 				t.Errorf("%s/%v normalized runtime %.3f < baseline", w, d, v)
 			}
 		}
-		if row[config.SCA] > row[config.FCA] {
-			t.Errorf("%s: SCA (%.3f) slower than FCA (%.3f)", w, row[config.SCA], row[config.FCA])
+		if row["sca"] > row["fca"] {
+			t.Errorf("%s: SCA (%.3f) slower than FCA (%.3f)", w, row["sca"], row["fca"])
 		}
 	}
-	if res.Average[config.SCA] >= res.Average[config.FCA] {
-		t.Errorf("average: SCA %.3f !< FCA %.3f", res.Average[config.SCA], res.Average[config.FCA])
+	if res.Average["sca"] >= res.Average["fca"] {
+		t.Errorf("average: SCA %.3f !< FCA %.3f", res.Average["sca"], res.Average["fca"])
 	}
 }
 
@@ -94,15 +93,15 @@ func TestFig14ShapeQuick(t *testing.T) {
 		row := res.Normalized[w]
 		// Per-workload, SCA may tie FCA (both coalesce in the queue);
 		// it must never write materially more.
-		if row[config.SCA] > row[config.FCA]*1.02 {
-			t.Errorf("%s: SCA traffic (%.3f) exceeds FCA (%.3f)", w, row[config.SCA], row[config.FCA])
+		if row["sca"] > row["fca"]*1.02 {
+			t.Errorf("%s: SCA traffic (%.3f) exceeds FCA (%.3f)", w, row["sca"], row["fca"])
 		}
-		if row[config.FCA] < 1.0 {
+		if row["fca"] < 1.0 {
 			t.Errorf("%s: FCA traffic below baseline", w)
 		}
 	}
-	if res.Average[config.SCA] >= res.Average[config.FCA] {
-		t.Errorf("average traffic: SCA %.3f !< FCA %.3f", res.Average[config.SCA], res.Average[config.FCA])
+	if res.Average["sca"] >= res.Average["fca"] {
+		t.Errorf("average traffic: SCA %.3f !< FCA %.3f", res.Average["sca"], res.Average["fca"])
 	}
 }
 
@@ -177,14 +176,20 @@ func TestFig17ReadDominatedTrend(t *testing.T) {
 	sc.Params.Ops = 4096
 	sc.Fig17Factors = []float64{3, 1}
 	sc.ItemsFor = map[string]int{"arrayswap": 1 << 20}
-	// Restrict to the footprint-controlled workload for runtime.
-	res, err := fig17ArraySwapOnly(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range sc.Fig17Factors {
-		if res[i] <= 1.0 {
-			t.Errorf("factor %vx: SCA not faster than Co-located (%.3f)", f, res[i])
+	// Request the footprint-controlled workload's cells alone, for
+	// runtime.
+	s := NewSession(sc)
+	for _, f := range sc.Fig17Factors {
+		colo, err := s.result(fig17Cell(sc, "colocated", f, 1, "arrayswap"), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sca, err := s.result(fig17Cell(sc, "sca", f, 1, "arrayswap"), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := float64(colo.runtime) / float64(sca.runtime); r <= 1.0 {
+			t.Errorf("factor %vx: SCA not faster than Co-located (%.3f)", f, r)
 		}
 	}
 }
@@ -251,21 +256,40 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// A failed write must surface as an error from the tables (and so as a
-// non-zero exit from cmd/experiments), not as silently truncated output.
+// A failed write must surface as an error from every table and figure
+// (and so as a non-zero exit from cmd/experiments), not as silently
+// truncated output.
 func TestTablesPropagateWriteError(t *testing.T) {
 	werr := errors.New("disk full")
-	for name, table := range map[string]func(io.Writer) error{
-		"table1": Table1, "table2": Table2,
+	// Every figure cmd/experiments runs, in its order. The figures share
+	// one session, so their repeated runs are memo hits.
+	s := NewSession(Quick)
+	for _, f := range []struct {
+		name string
+		fn   func(io.Writer) error
+	}{
+		{"table2", Table2},
+		{"table1", Table1},
+		{"fig4", func(w io.Writer) error { _, err := Fig4(Quick, w); return err }},
+		{"fig8", func(w io.Writer) error { _, err := Fig8(w); return err }},
+		{"fig12", func(w io.Writer) error { _, err := s.Fig12(w); return err }},
+		{"fig13", func(w io.Writer) error { _, err := s.Fig13(w); return err }},
+		{"fig14", func(w io.Writer) error { _, err := s.Fig14(w); return err }},
+		{"fig15", func(w io.Writer) error { _, err := s.Fig15(w); return err }},
+		{"fig16", func(w io.Writer) error { _, err := Fig16(Quick, w); return err }},
+		{"fig17", func(w io.Writer) error { _, err := s.Fig17(w); return err }},
+		{"lifetime", func(w io.Writer) error { _, err := s.Lifetime(w); return err }},
+		{"osiris", func(w io.Writer) error { _, err := s.Osiris(w); return err }},
+		{"integrity", func(w io.Writer) error { _, err := s.Integrity(w); return err }},
 	} {
 		// Failing at byte 0 and mid-stream must both propagate.
 		for _, n := range []int{0, 40} {
-			if err := table(&failAfterWriter{n: n, err: werr}); !errors.Is(err, werr) {
-				t.Errorf("%s with writer failing after %d bytes: err = %v, want %v", name, n, err, werr)
+			if err := f.fn(&failAfterWriter{n: n, err: werr}); !errors.Is(err, werr) {
+				t.Errorf("%s with writer failing after %d bytes: err = %v, want %v", f.name, n, err, werr)
 			}
 		}
-		if err := table(io.Discard); err != nil {
-			t.Errorf("%s on working writer: %v", name, err)
+		if err := f.fn(io.Discard); err != nil {
+			t.Errorf("%s on working writer: %v", f.name, err)
 		}
 	}
 }
@@ -311,16 +335,17 @@ func TestOsirisStudy(t *testing.T) {
 }
 
 func TestTraceCachePrefixReuse(t *testing.T) {
-	tc := newTraceCache(Quick)
+	s := NewSession(Quick)
 	w, err := workloads.ByName("arrayswap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	four := tc.get(w, 4)
+	p := Quick.ParamsFor("arrayswap")
+	four := s.traces(w, p, 4)
 	if len(four) != 4 {
 		t.Fatalf("got %d traces", len(four))
 	}
-	two := tc.get(w, 2)
+	two := s.traces(w, p, 2)
 	if len(two) != 2 {
 		t.Fatalf("got %d traces for 2 cores", len(two))
 	}
@@ -363,19 +388,19 @@ func TestIntegrityShapeQuick(t *testing.T) {
 	// SecPM — no annotations, no blocking writebacks — never runs slower
 	// than BMT.
 	for _, w := range res.Workloads {
-		if v := res.Traffic[w][config.BMT]; v <= 1.0 {
+		if v := res.Traffic[w]["bmt"]; v <= 1.0 {
 			t.Errorf("%s: BMT traffic %.3f not above the SCA baseline", w, v)
 		}
-		if v := res.Runtime[w][config.BMT]; v < 0.95 {
+		if v := res.Runtime[w]["bmt"]; v < 0.95 {
 			t.Errorf("%s: BMT runtime %.3f below baseline — tree paths cannot be free", w, v)
 		}
-		if res.Runtime[w][config.SecPM] > res.Runtime[w][config.BMT] {
+		if res.Runtime[w]["secpm"] > res.Runtime[w]["bmt"] {
 			t.Errorf("%s: SecPM (%.3f) slower than BMT (%.3f)", w,
-				res.Runtime[w][config.SecPM], res.Runtime[w][config.BMT])
+				res.Runtime[w]["secpm"], res.Runtime[w]["bmt"])
 		}
 	}
-	if res.AvgTraffic[config.BMT] <= res.AvgTraffic[config.SecPM] {
+	if res.AvgTraffic["bmt"] <= res.AvgTraffic["secpm"] {
 		t.Errorf("average traffic: BMT %.3f !> SecPM %.3f",
-			res.AvgTraffic[config.BMT], res.AvgTraffic[config.SecPM])
+			res.AvgTraffic["bmt"], res.AvgTraffic["secpm"])
 	}
 }

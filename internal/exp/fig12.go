@@ -1,13 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"slices"
 
-	"encnvm/internal/config"
-	"encnvm/internal/core"
-	"encnvm/internal/runner"
 	"encnvm/internal/workloads"
 )
 
@@ -15,88 +12,98 @@ import (
 // the no-encryption design (lower is better), per workload plus average.
 type Fig12Result struct {
 	Workloads []string
-	// Normalized[workload][design] = runtime / runtime(NoEncryption).
-	Normalized map[string]map[config.Design]float64
-	Average    map[config.Design]float64
+	// Normalized[workload][engine] = runtime / runtime("noenc").
+	Normalized map[string]map[string]float64
+	Average    map[string]float64
 }
 
-// fig12Designs are the bars of the paper's Figure 12.
-var fig12Designs = []config.Design{config.SCA, config.FCA, config.CoLocated, config.CoLocatedCC}
+// fig12Engines are the bars of the paper's Figures 12 and 14.
+var fig12Engines = []string{"sca", "fca", "colocated", "colocatedcc"}
 
-// designCell is one (workload, design) simulation of a single-core grid.
-type designCell struct {
-	w workloads.Workload
-	d config.Design
+// normColumn is one column of a normalized table: an engine's metric
+// over the baseline engine's on the same workload, with the geomean in
+// the average row. Values land in byWorkload[w][engine] and avg[engine].
+type normColumn struct {
+	header     string
+	engine     string
+	metric     func(cellResult) float64
+	byWorkload map[string]map[string]float64
+	avg        map[string]float64
 }
 
-// runDesignGrid fans a (workload × design) grid out over the runner and
-// returns results in grid order: all of workload 0's designs, then
-// workload 1's, and so on. The trace cache is warmed first so cells only
-// read it.
-func runDesignGrid(sc Scale, tc *traceCache, fig string,
-	ws []workloads.Workload, designs []config.Design) ([]core.Result, error) {
+func runtimeOf(r cellResult) float64 { return float64(r.runtime) }
+func bytesOf(r cellResult) float64   { return float64(r.bytesWritten) }
 
-	tc.warm(sc, ws, 1)
-	cells := make([]designCell, 0, len(ws)*len(designs))
-	for _, w := range ws {
-		for _, d := range designs {
-			cells = append(cells, designCell{w, d})
+// normTable prints a per-workload table of single-core columns
+// normalized to the base engine and returns the workload names. Every
+// cell is a session request, so columns another figure already ran are
+// memo hits.
+func (s *Session) normTable(out io.Writer, fig, title, base string, width int, cols []normColumn) ([]string, error) {
+	engines := []string{base}
+	for _, c := range cols {
+		if !slices.Contains(engines, c.engine) {
+			engines = append(engines, c.engine)
 		}
 	}
-	return runner.MapValues(context.Background(), cells,
-		func(_ context.Context, c designCell) (core.Result, error) {
-			return tc.run(c.d, c.w, 1)
-		},
-		sc.cellOpts(func(i int) string {
-			return fmt.Sprintf("%s/%s/%v", fig, cells[i].w.Name(), cells[i].d)
-		}))
-}
-
-// Fig12 regenerates Figure 12: single-core runtime normalized to
-// no-encryption for SCA, FCA, Co-located and Co-located w/ C-Cache.
-// The grid's simulations fan out over the runner; rows are formatted
-// from the ordered results, so stdout is identical for every Jobs value.
-func Fig12(sc Scale, out io.Writer) (Fig12Result, error) {
-	res := Fig12Result{Normalized: make(map[string]map[config.Design]float64), Average: make(map[config.Design]float64)}
-	tc := newTraceCache(sc)
-
-	// NoEncryption first in every row: it is the normalization baseline.
-	designs := append([]config.Design{config.NoEncryption}, fig12Designs...)
-	ws := workloads.All()
-	rs, err := runDesignGrid(sc, tc, "fig12", ws, designs)
+	rs, err := s.perWorkload(fig, engines)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 
-	header(out, "Figure 12: single-core runtime normalized to NoEncryption (lower is better)")
+	header(out, title)
 	fmt.Fprintf(out, "%-12s", "workload")
-	for _, d := range fig12Designs {
-		fmt.Fprintf(out, " %22s", d)
+	for _, c := range cols {
+		fmt.Fprintf(out, " %*s", width, c.header)
 	}
 	fmt.Fprintln(out)
-
-	perDesign := make(map[config.Design][]float64)
-	for wi, w := range ws {
-		row := rs[wi*len(designs) : (wi+1)*len(designs)]
-		base := row[0]
-		norms := make(map[config.Design]float64)
+	var names []string
+	perCol := make([][]float64, len(cols))
+	for wi, w := range workloads.All() {
+		row := rs[wi*len(engines) : (wi+1)*len(engines)]
 		fmt.Fprintf(out, "%-12s", w.Name())
-		for di, d := range fig12Designs {
-			norm := float64(row[di+1].Runtime) / float64(base.Runtime)
-			norms[d] = norm
-			perDesign[d] = append(perDesign[d], norm)
-			fmt.Fprintf(out, " %22.3f", norm)
+		for ci, c := range cols {
+			norm := c.metric(row[slices.Index(engines, c.engine)]) / c.metric(row[0])
+			if c.byWorkload[w.Name()] == nil {
+				c.byWorkload[w.Name()] = make(map[string]float64)
+			}
+			c.byWorkload[w.Name()][c.engine] = norm
+			perCol[ci] = append(perCol[ci], norm)
+			fmt.Fprintf(out, " %*.3f", width, norm)
 		}
 		fmt.Fprintln(out)
-		res.Workloads = append(res.Workloads, w.Name())
-		res.Normalized[w.Name()] = norms
+		names = append(names, w.Name())
 	}
 	fmt.Fprintf(out, "%-12s", "average")
-	for _, d := range fig12Designs {
-		avg := geomean(perDesign[d])
-		res.Average[d] = avg
-		fmt.Fprintf(out, " %22.3f", avg)
+	for ci, c := range cols {
+		c.avg[c.engine] = geomean(perCol[ci])
+		fmt.Fprintf(out, " %*.3f", width, c.avg[c.engine])
 	}
 	fmt.Fprintln(out)
-	return res, nil
+	return names, nil
+}
+
+// Fig12 regenerates Figure 12 in a one-shot session; see Session.Fig12.
+func Fig12(sc Scale, out io.Writer) (Fig12Result, error) { return NewSession(sc).Fig12(out) }
+
+// Fig12 regenerates Figure 12: single-core runtime normalized to
+// no-encryption for SCA, FCA, Co-located and Co-located w/ C-Cache. It
+// returns the first write error.
+func (s *Session) Fig12(w io.Writer) (Fig12Result, error) {
+	return s.fig12Table(w, "fig12", "Figure 12: single-core runtime normalized to NoEncryption (lower is better)", runtimeOf)
+}
+
+// fig12Table is the table Figures 12 and 14 share: Fig. 12's engines
+// normalized to no-encryption under one metric.
+func (s *Session) fig12Table(w io.Writer, fig, title string, metric func(cellResult) float64) (Fig12Result, error) {
+	res := Fig12Result{Normalized: make(map[string]map[string]float64), Average: make(map[string]float64)}
+	var cols []normColumn
+	for _, e := range fig12Engines {
+		cols = append(cols, normColumn{label(e), e, metric, res.Normalized, res.Average})
+	}
+	out := &errWriter{w: w}
+	var err error
+	if res.Workloads, err = s.normTable(out, fig, title, "noenc", 22, cols); err != nil {
+		return res, err
+	}
+	return res, out.err
 }

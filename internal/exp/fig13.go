@@ -1,13 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"encnvm/internal/config"
-	"encnvm/internal/core"
-	"encnvm/internal/runner"
+	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
 )
 
@@ -17,119 +14,99 @@ import (
 type Fig13Result struct {
 	Workloads []string
 	Cores     []int
-	// Normalized[workload][design][cores].
-	Normalized map[string]map[config.Design]map[int]float64
+	// Normalized[workload][engine][cores].
+	Normalized map[string]map[string]map[int]float64
 }
 
-// fig13Designs are the series of the paper's Figure 13.
-var fig13Designs = []config.Design{
-	config.NoEncryption, config.Ideal, config.SCA,
-	config.FCA, config.CoLocated, config.CoLocatedCC,
-}
+// fig13Engines are the series of the paper's Figure 13.
+var fig13Engines = []string{"noenc", "ideal", "sca", "fca", "colocated", "colocatedcc"}
+
+// Fig13 regenerates Figure 13 in a one-shot session; see Session.Fig13.
+func Fig13(sc Scale, out io.Writer) (Fig13Result, error) { return NewSession(sc).Fig13(out) }
 
 // Fig13 regenerates Figure 13: throughput of multithreaded workloads
-// normalized to single-core no-encryption.
-func Fig13(sc Scale, out io.Writer) (Fig13Result, error) {
+// normalized to single-core no-encryption. It returns the first write
+// error.
+func (s *Session) Fig13(w io.Writer) (Fig13Result, error) {
+	sc := s.sc
 	res := Fig13Result{
 		Cores:      sc.Cores,
-		Normalized: make(map[string]map[config.Design]map[int]float64),
+		Normalized: make(map[string]map[string]map[int]float64),
 	}
-	// Throughput scaling needs per-transaction think time: with
-	// back-to-back write bursts every design saturates PCM write
-	// bandwidth and no core count helps. The paper's out-of-order cores
-	// overlap this work implicitly; the trace model makes it explicit.
-	scaled := sc
-	scaled.Params.ComputeCycles = 3000
-	tc := newTraceCache(scaled)
+	out := &errWriter{w: w}
 	header(out, "Figure 13: throughput normalized to 1-core NoEncryption (higher is better)")
 
-	// One workload at a time — its trace set is dropped before the next
-	// builds, bounding peak memory at full scale — with the (design ×
-	// cores) grid plus the 1-core baseline fanned out within it.
-	type cell struct {
-		d config.Design
-		n int
-	}
-	for _, w := range workloads.All() {
-		// Build the largest trace set once; smaller core counts use its
-		// prefix, and the whole set is dropped when the workload ends.
-		tc.get(w, sc.Cores[len(sc.Cores)-1])
-		cells := []cell{{config.NoEncryption, 1}} // the normalization baseline
-		for _, d := range fig13Designs {
+	// One grid per workload, so its trace set is released before the
+	// next builds, bounding peak memory at full scale.
+	for _, wl := range workloads.All() {
+		// Throughput scaling needs per-transaction think time: with
+		// back-to-back write bursts every design saturates PCM write
+		// bandwidth and no core count helps. The paper's out-of-order
+		// cores overlap this work implicitly; the trace model makes it
+		// explicit.
+		p := sc.ParamsFor(wl.Name())
+		p.ComputeCycles = 3000
+		var cells []cell
+		for _, e := range fig13Engines {
 			for _, n := range sc.Cores {
-				cells = append(cells, cell{d, n})
+				cells = append(cells, cell{machine.Spec{Engine: e, Cores: n}, wl.Name(), p})
 			}
 		}
-		rs, err := runner.MapValues(context.Background(), cells,
-			func(_ context.Context, c cell) (core.Result, error) {
-				return tc.run(c.d, w, c.n)
-			},
-			sc.cellOpts(func(i int) string {
-				return fmt.Sprintf("fig13/%s/%v/%dc", w.Name(), cells[i].d, cells[i].n)
-			}))
+		// The normalization baseline comes last: when the grid already
+		// holds it, the request is a memo hit instead of a wait.
+		cells = append(cells, cell{machine.Spec{Engine: "noenc", Cores: 1}, wl.Name(), p})
+		rs, err := s.grid("fig13", cells)
 		if err != nil {
 			return res, err
 		}
-		base := rs[0]
-		res.Workloads = append(res.Workloads, w.Name())
-		res.Normalized[w.Name()] = make(map[config.Design]map[int]float64)
+		base := rs[len(rs)-1]
+		res.Workloads = append(res.Workloads, wl.Name())
+		res.Normalized[wl.Name()] = make(map[string]map[int]float64)
 
-		fmt.Fprintf(out, "\n%s\n%-24s", w.Name(), "design \\ cores")
+		fmt.Fprintf(out, "\n%s\n%-24s", wl.Name(), "design \\ cores")
 		for _, n := range sc.Cores {
 			fmt.Fprintf(out, " %8d", n)
 		}
 		fmt.Fprintln(out)
-		for di, d := range fig13Designs {
-			res.Normalized[w.Name()][d] = make(map[int]float64)
-			fmt.Fprintf(out, "%-24s", d)
+		for ei, e := range fig13Engines {
+			res.Normalized[wl.Name()][e] = make(map[int]float64)
+			fmt.Fprintf(out, "%-24s", label(e))
 			for ni, n := range sc.Cores {
-				r := rs[1+di*len(sc.Cores)+ni]
-				norm := r.Throughput / base.Throughput
-				res.Normalized[w.Name()][d][n] = norm
+				norm := rs[ei*len(sc.Cores)+ni].throughput / base.throughput
+				res.Normalized[wl.Name()][e][n] = norm
 				fmt.Fprintf(out, " %8.2f", norm)
 			}
 			fmt.Fprintln(out)
 		}
-		tc.drop(w)
 	}
 
 	// The headline numbers: SCA's average improvement over FCA per core
 	// count, and its distance from Ideal (paper: 6/11/22/40% and <5%).
 	fmt.Fprintf(out, "\n%-40s", "SCA speedup over FCA (geomean)")
 	for _, n := range sc.Cores {
-		var ratios []float64
-		for _, w := range res.Workloads {
-			ratios = append(ratios, res.Normalized[w][config.SCA][n]/res.Normalized[w][config.FCA][n])
-		}
-		fmt.Fprintf(out, " %8.3f", geomean(ratios))
+		fmt.Fprintf(out, " %8.3f", res.SCAOverFCA(n))
 	}
 	fmt.Fprintf(out, "\n%-40s", "SCA fraction of Ideal (geomean)")
 	for _, n := range sc.Cores {
-		var ratios []float64
-		for _, w := range res.Workloads {
-			ratios = append(ratios, res.Normalized[w][config.SCA][n]/res.Normalized[w][config.Ideal][n])
-		}
-		fmt.Fprintf(out, " %8.3f", geomean(ratios))
+		fmt.Fprintf(out, " %8.3f", res.SCAOverIdeal(n))
 	}
 	fmt.Fprintln(out)
-	return res, nil
+	return res, out.err
 }
 
 // SCAOverFCA extracts the per-core-count SCA/FCA throughput ratio
 // (geomean across workloads) from a Fig13Result.
-func (r Fig13Result) SCAOverFCA(cores int) float64 {
-	var ratios []float64
-	for _, w := range r.Workloads {
-		ratios = append(ratios, r.Normalized[w][config.SCA][cores]/r.Normalized[w][config.FCA][cores])
-	}
-	return geomean(ratios)
-}
+func (r Fig13Result) SCAOverFCA(cores int) float64 { return r.ratio("fca", cores) }
 
 // SCAOverIdeal extracts the per-core-count SCA/Ideal throughput ratio.
-func (r Fig13Result) SCAOverIdeal(cores int) float64 {
+func (r Fig13Result) SCAOverIdeal(cores int) float64 { return r.ratio("ideal", cores) }
+
+// ratio is SCA's throughput over engine's at a core count, geomean
+// across workloads.
+func (r Fig13Result) ratio(engine string, cores int) float64 {
 	var ratios []float64
 	for _, w := range r.Workloads {
-		ratios = append(ratios, r.Normalized[w][config.SCA][cores]/r.Normalized[w][config.Ideal][cores])
+		ratios = append(ratios, r.Normalized[w]["sca"][cores]/r.Normalized[w][engine][cores])
 	}
 	return geomean(ratios)
 }

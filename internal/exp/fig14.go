@@ -1,65 +1,24 @@
 package exp
 
-import (
-	"fmt"
-	"io"
-
-	"encnvm/internal/config"
-	"encnvm/internal/workloads"
-)
+import "io"
 
 // Fig14Result holds NVM write traffic normalized to the no-encryption
 // design (lower is better).
 type Fig14Result struct {
 	Workloads []string
-	// Normalized[workload][design] = bytes written / bytes(NoEncryption).
-	Normalized map[string]map[config.Design]float64
-	Average    map[config.Design]float64
+	// Normalized[workload][engine] = bytes written / bytes("noenc").
+	Normalized map[string]map[string]float64
+	Average    map[string]float64
 }
 
+// Fig14 regenerates Figure 14 in a one-shot session; see Session.Fig14.
+func Fig14(sc Scale, out io.Writer) (Fig14Result, error) { return NewSession(sc).Fig14(out) }
+
 // Fig14 regenerates Figure 14: write traffic to NVMM normalized to the
-// no-encryption design for SCA, FCA and the two co-located designs. The
-// same fan-out grid as Fig12, measuring bytes written instead of runtime.
-func Fig14(sc Scale, out io.Writer) (Fig14Result, error) {
-	res := Fig14Result{Normalized: make(map[string]map[config.Design]float64), Average: make(map[config.Design]float64)}
-	tc := newTraceCache(sc)
-
-	designs := append([]config.Design{config.NoEncryption}, fig12Designs...)
-	ws := workloads.All()
-	rs, err := runDesignGrid(sc, tc, "fig14", ws, designs)
-	if err != nil {
-		return res, err
-	}
-
-	header(out, "Figure 14: NVM write traffic normalized to NoEncryption (lower is better)")
-	fmt.Fprintf(out, "%-12s", "workload")
-	for _, d := range fig12Designs {
-		fmt.Fprintf(out, " %22s", d)
-	}
-	fmt.Fprintln(out)
-
-	perDesign := make(map[config.Design][]float64)
-	for wi, w := range ws {
-		row := rs[wi*len(designs) : (wi+1)*len(designs)]
-		base := row[0]
-		norms := make(map[config.Design]float64)
-		fmt.Fprintf(out, "%-12s", w.Name())
-		for di, d := range fig12Designs {
-			norm := float64(row[di+1].BytesWritten) / float64(base.BytesWritten)
-			norms[d] = norm
-			perDesign[d] = append(perDesign[d], norm)
-			fmt.Fprintf(out, " %22.3f", norm)
-		}
-		fmt.Fprintln(out)
-		res.Workloads = append(res.Workloads, w.Name())
-		res.Normalized[w.Name()] = norms
-	}
-	fmt.Fprintf(out, "%-12s", "average")
-	for _, d := range fig12Designs {
-		avg := geomean(perDesign[d])
-		res.Average[d] = avg
-		fmt.Fprintf(out, " %22.3f", avg)
-	}
-	fmt.Fprintln(out)
-	return res, nil
+// no-encryption design for SCA, FCA and the two co-located designs —
+// Fig. 12's runs measured in bytes written instead of runtime. It
+// returns the first write error.
+func (s *Session) Fig14(w io.Writer) (Fig14Result, error) {
+	res, err := s.fig12Table(w, "fig14", "Figure 14: NVM write traffic normalized to NoEncryption (lower is better)", bytesOf)
+	return Fig14Result(res), err
 }

@@ -1,17 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"encnvm/internal/core"
-	"encnvm/internal/crash"
 	"encnvm/internal/machine"
-	"encnvm/internal/runner"
 	"encnvm/internal/stats"
-	"encnvm/internal/trace"
-	"encnvm/internal/workloads"
 )
 
 // Fig15Result holds the counter-cache-size sensitivity of SCA: speedup
@@ -25,54 +19,38 @@ type Fig15Result struct {
 	MissRate [][]float64
 }
 
+// Fig15 regenerates Figure 15 in a one-shot session; see Session.Fig15.
+func Fig15(sc Scale, out io.Writer) (Fig15Result, error) { return NewSession(sc).Fig15(out) }
+
 // Fig15 regenerates Figure 15: SCA with counter caches from the smallest
 // to the largest size of the sweep, across workload footprints. The
 // workload is arrayswap — the footprint knob is exact (8B per item) and
 // accesses are uniformly random, the worst case for counter locality.
-func Fig15(sc Scale, out io.Writer) (Fig15Result, error) {
+// It returns the first write error.
+func (s *Session) Fig15(w io.Writer) (Fig15Result, error) {
+	sc := s.sc
 	res := Fig15Result{FootprintItems: sc.Fig15Footprints, CacheSizes: sc.Fig15CacheSizes}
-	w := &workloads.ArraySwap{}
 
-	// Stage 1: build each footprint's traces, concurrently — they are
-	// independent functional runs.
-	traceSets, err := runner.MapValues(context.Background(), sc.Fig15Footprints,
-		func(_ context.Context, items int) ([]*trace.Trace, error) {
-			p := sc.Params
-			p.Items = items
-			// Enough operations to touch a representative sample of the
-			// footprint during the measured phase.
-			p.Ops = max(p.Ops, items/64)
-			return crash.BuildTraces(w, p, 1), nil
-		},
-		sc.cellOpts(func(i int) string {
-			return fmt.Sprintf("fig15/build/%dKB", sc.Fig15Footprints[i]*8>>10)
-		}))
-	if err != nil {
-		return res, err
-	}
-
-	// Stage 2: the (footprint × cache size) grid over the shared
-	// read-only traces, one engine instance per cell.
-	type cell struct{ fi, ci int }
+	// The (footprint × cache size) grid; each footprint is its own
+	// trace parameters, so its traces are built once and shared by its
+	// row.
 	var cells []cell
-	for fi := range sc.Fig15Footprints {
-		for ci := range sc.Fig15CacheSizes {
-			cells = append(cells, cell{fi, ci})
+	for _, items := range sc.Fig15Footprints {
+		p := sc.Params
+		p.Items = items
+		// Enough operations to touch a representative sample of the
+		// footprint during the measured phase.
+		p.Ops = max(p.Ops, items/64)
+		for _, size := range sc.Fig15CacheSizes {
+			cells = append(cells, cell{machine.Spec{Engine: "sca", CounterCacheBytes: size}, "arrayswap", p})
 		}
 	}
-	rs, err := runner.MapValues(context.Background(), cells,
-		func(_ context.Context, c cell) (core.Result, error) {
-			spec := &machine.Spec{Engine: "sca", CounterCacheBytes: sc.Fig15CacheSizes[c.ci]}
-			return core.Run(spec, w.Name(), trace.Sources(traceSets[c.fi]), nil)
-		},
-		sc.cellOpts(func(i int) string {
-			return fmt.Sprintf("fig15/%dKB/%dKB",
-				sc.Fig15Footprints[cells[i].fi]*8>>10, sc.Fig15CacheSizes[cells[i].ci]>>10)
-		}))
+	rs, err := s.grid("fig15", cells)
 	if err != nil {
 		return res, err
 	}
 
+	out := &errWriter{w: w}
 	header(out, "Figure 15: SCA counter-cache size sensitivity (arrayswap)")
 	for fi, items := range sc.Fig15Footprints {
 		var speedups, misses []float64
@@ -81,10 +59,10 @@ func Fig15(sc Scale, out io.Writer) (Fig15Result, error) {
 		for i, size := range sc.Fig15CacheSizes {
 			r := rs[fi*len(sc.Fig15CacheSizes)+i]
 			if i == 0 {
-				baseRuntime = float64(r.Runtime)
+				baseRuntime = float64(r.runtime)
 			}
-			speedups = append(speedups, baseRuntime/float64(r.Runtime))
-			miss := 1 - r.Stats.HitRate(stats.CounterCacheHits, stats.CounterCacheMiss)
+			speedups = append(speedups, baseRuntime/float64(r.runtime))
+			miss := 1 - r.stats.HitRate(stats.CounterCacheHits, stats.CounterCacheMiss)
 			misses = append(misses, miss)
 			fmt.Fprintf(out, " [%4dKB: %.3fx, miss %4.1f%%]", size>>10, speedups[i], miss*100)
 		}
@@ -92,5 +70,5 @@ func Fig15(sc Scale, out io.Writer) (Fig15Result, error) {
 		res.Speedup = append(res.Speedup, speedups)
 		res.MissRate = append(res.MissRate, misses)
 	}
-	return res, nil
+	return res, out.err
 }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 
-	"encnvm/internal/core"
 	"encnvm/internal/crash"
 	"encnvm/internal/machine"
 	"encnvm/internal/runner"
-	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -35,8 +33,10 @@ var linesPerOp = map[string]int{
 
 // Fig16 regenerates Figure 16: SCA runtime normalized to Ideal while the
 // number of cache lines committed per transaction sweeps from one line
-// toward a page.
-func Fig16(sc Scale, out io.Writer) (Fig16Result, error) {
+// toward a page. Its cells share no traces with other figures, so it
+// runs outside any session, building each cell's traces inside the cell
+// to bound peak memory. It returns the first write error.
+func Fig16(sc Scale, w io.Writer) (Fig16Result, error) {
 	res := Fig16Result{TxLines: sc.Fig16Lines, Overhead: make(map[string][]float64)}
 
 	// Each (workload, tx size) cell is fully self-contained: it builds
@@ -62,15 +62,15 @@ func Fig16(sc Scale, out io.Writer) (Fig16Result, error) {
 			p.Ops = p.OpsPerTx * max(16, sc.Params.Ops/8)
 			traces := crash.BuildTraces(c.w, p, 1)
 
-			ideal, err := core.Run(&machine.Spec{Engine: "ideal"}, c.w.Name(), trace.Sources(traces), nil)
+			ideal, err := simulate(&machine.Spec{Engine: "ideal"}, c.w.Name(), traces)
 			if err != nil {
 				return 0, err
 			}
-			sca, err := core.Run(&machine.Spec{Engine: "sca"}, c.w.Name(), trace.Sources(traces), nil)
+			sca, err := simulate(&machine.Spec{Engine: "sca"}, c.w.Name(), traces)
 			if err != nil {
 				return 0, err
 			}
-			return float64(sca.Runtime) / float64(ideal.Runtime), nil
+			return float64(sca.runtime) / float64(ideal.runtime), nil
 		},
 		sc.cellOpts(func(i int) string {
 			return fmt.Sprintf("fig16/%s/%dL", cells[i].w.Name(), cells[i].lines)
@@ -79,6 +79,7 @@ func Fig16(sc Scale, out io.Writer) (Fig16Result, error) {
 		return res, err
 	}
 
+	out := &errWriter{w: w}
 	header(out, "Figure 16: SCA runtime normalized to Ideal vs transaction size (lower is better)")
 	fmt.Fprintf(out, "%-12s", "workload")
 	for _, lines := range sc.Fig16Lines {
@@ -96,5 +97,5 @@ func Fig16(sc Scale, out io.Writer) (Fig16Result, error) {
 		}
 		fmt.Fprintln(out)
 	}
-	return res, nil
+	return res, out.err
 }

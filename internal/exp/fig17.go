@@ -1,14 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"encnvm/internal/core"
 	"encnvm/internal/machine"
-	"encnvm/internal/runner"
-	"encnvm/internal/trace"
 	"encnvm/internal/workloads"
 )
 
@@ -24,70 +20,62 @@ type Fig17Result struct {
 	WriteSweep []float64
 }
 
-// fig17Scale derives the trace parameters for the latency sweep: several
-// operations per transaction and inter-transaction think time.
-func fig17Scale(sc Scale) Scale {
-	out := sc
-	out.Params.OpsPerTx = 4
-	out.Params.ComputeCycles = 2000
-	return out
-}
+// Fig17 regenerates Figure 17 in a one-shot session; see Session.Fig17.
+func Fig17(sc Scale, out io.Writer) (Fig17Result, error) { return NewSession(sc).Fig17(out) }
 
-// Fig17 regenerates Figure 17: SCA speedup over the co-located design
-// under scaled NVM read latency (a) and write latency (b).
-func Fig17(sc Scale, out io.Writer) (Fig17Result, error) {
-	res := Fig17Result{Factors: sc.Fig17Factors}
+// fig17Cell is one Fig. 17 run: engine with its NVM read and write
+// latency scaled, over the latency sweep's traces of workload.
+func fig17Cell(sc Scale, engine string, readX, writeX float64, workload string) cell {
 	// The latency sensitivity needs read-dominated transactions with
 	// think time; back-to-back write bursts saturate the write path and
 	// mask the read-side decryption effects the figure is about.
-	tc := newTraceCache(fig17Scale(sc))
-	ws := workloads.All()
-	tc.warm(sc, ws, 1)
+	p := sc.ParamsFor(workload)
+	p.OpsPerTx = 4
+	p.ComputeCycles = 2000
+	return cell{machine.Spec{Engine: engine, ReadLatencyX: readX, WriteLatencyX: writeX}, workload, p}
+}
 
-	// The grid: {read, write} sweep × factor × workload, each cell a
-	// CoLocated/SCA runtime-ratio pair over the shared traces.
-	type cell struct {
-		readX, writeX float64
-		w             workloads.Workload
-	}
+// Fig17 regenerates Figure 17: SCA speedup over the co-located design
+// under scaled NVM read latency (a) and write latency (b). The factor-1
+// column of both sweeps is one machine, so its cells are requested twice
+// and simulated once. It returns the first write error.
+func (s *Session) Fig17(w io.Writer) (Fig17Result, error) {
+	sc := s.sc
+	res := Fig17Result{Factors: sc.Fig17Factors}
+	ws := workloads.All()
+
+	// The grid: {read, write} sweep × factor × workload × {Co-located,
+	// SCA}.
 	var cells []cell
-	for _, f := range sc.Fig17Factors {
-		for _, w := range ws {
-			cells = append(cells, cell{f, 1, w})
+	for _, write := range []bool{false, true} {
+		for _, f := range sc.Fig17Factors {
+			readX, writeX := f, 1.0
+			if write {
+				readX, writeX = 1, f
+			}
+			for _, wl := range ws {
+				for _, e := range []string{"colocated", "sca"} {
+					cells = append(cells, fig17Cell(sc, e, readX, writeX, wl.Name()))
+				}
+			}
 		}
 	}
-	for _, f := range sc.Fig17Factors {
-		for _, w := range ws {
-			cells = append(cells, cell{1, f, w})
-		}
-	}
-	ratios, err := runner.MapValues(context.Background(), cells,
-		func(_ context.Context, c cell) (float64, error) {
-			traces := tc.get(c.w, 1)
-			colo, err := core.Run(&machine.Spec{Engine: "colocated", ReadLatencyX: c.readX, WriteLatencyX: c.writeX},
-				c.w.Name(), trace.Sources(traces), nil)
-			if err != nil {
-				return 0, err
-			}
-			sca, err := core.Run(&machine.Spec{Engine: "sca", ReadLatencyX: c.readX, WriteLatencyX: c.writeX},
-				c.w.Name(), trace.Sources(traces), nil)
-			if err != nil {
-				return 0, err
-			}
-			return float64(colo.Runtime) / float64(sca.Runtime), nil
-		},
-		sc.cellOpts(func(i int) string {
-			return fmt.Sprintf("fig17/%s/r%gx-w%gx", cells[i].w.Name(), cells[i].readX, cells[i].writeX)
-		}))
+	rs, err := s.grid("fig17", cells)
 	if err != nil {
 		return res, err
 	}
-	// geomean per factor over the workload block of each sweep half.
+	// geomean of Co-located/SCA runtime per factor over the workload
+	// block of each sweep half.
 	sweep := func(half, fi int) float64 {
-		base := half*len(sc.Fig17Factors)*len(ws) + fi*len(ws)
-		return geomean(ratios[base : base+len(ws)])
+		base := 2 * (half*len(sc.Fig17Factors)*len(ws) + fi*len(ws))
+		var ratios []float64
+		for wi := range ws {
+			ratios = append(ratios, float64(rs[base+2*wi].runtime)/float64(rs[base+2*wi+1].runtime))
+		}
+		return geomean(ratios)
 	}
 
+	out := &errWriter{w: w}
 	header(out, "Figure 17: SCA speedup over Co-located vs NVM latency (geomean; >1 = SCA faster)")
 	fmt.Fprintf(out, "%-24s", "latency factor")
 	for _, f := range sc.Fig17Factors {
@@ -106,29 +94,5 @@ func Fig17(sc Scale, out io.Writer) (Fig17Result, error) {
 		fmt.Fprintf(out, " %9.3f", s)
 	}
 	fmt.Fprintln(out)
-	return res, nil
-}
-
-// fig17ArraySwapOnly runs the read-latency sweep on arrayswap alone —
-// the workload whose footprint is an exact knob — returning the
-// CoLocated/SCA runtime ratio per factor. Used by the trend test.
-func fig17ArraySwapOnly(sc Scale) ([]float64, error) {
-	tc := newTraceCache(fig17Scale(sc))
-	w := &workloads.ArraySwap{}
-	var out []float64
-	for _, f := range sc.Fig17Factors {
-		traces := tc.get(w, 1)
-		colo, err := core.Run(&machine.Spec{Engine: "colocated", ReadLatencyX: f},
-			w.Name(), trace.Sources(traces), nil)
-		if err != nil {
-			return nil, err
-		}
-		sca, err := core.Run(&machine.Spec{Engine: "sca", ReadLatencyX: f},
-			w.Name(), trace.Sources(traces), nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, float64(colo.Runtime)/float64(sca.Runtime))
-	}
-	return out, nil
+	return res, out.err
 }

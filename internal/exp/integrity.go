@@ -1,12 +1,6 @@
 package exp
 
-import (
-	"fmt"
-	"io"
-
-	"encnvm/internal/config"
-	"encnvm/internal/workloads"
-)
+import "io"
 
 // IntegrityResult holds the crash-consistency overhead of persisted
 // integrity metadata: single-core runtime and NVM write traffic of the
@@ -14,88 +8,51 @@ import (
 // workload plus geomean average.
 type IntegrityResult struct {
 	Workloads []string
-	// Runtime[workload][design] = runtime / runtime(SCA).
-	Runtime map[string]map[config.Design]float64
-	// Traffic[workload][design] = bytes written / bytes written(SCA).
-	Traffic    map[string]map[config.Design]float64
-	AvgRuntime map[config.Design]float64
-	AvgTraffic map[config.Design]float64
+	// Runtime[workload][engine] = runtime / runtime("sca").
+	Runtime map[string]map[string]float64
+	// Traffic[workload][engine] = bytes written / bytes written("sca").
+	Traffic    map[string]map[string]float64
+	AvgRuntime map[string]float64
+	AvgTraffic map[string]float64
 }
 
-// integrityDesigns are the tree-protected engines compared against the
+// integrityEngines are the tree-protected engines compared against the
 // SCA baseline: BMT drags the ancestor tree path along with every
 // counter write, SecPM writes combined counter+MAC metadata through
 // with every data write.
-var integrityDesigns = []config.Design{config.BMT, config.SecPM}
+var integrityEngines = []string{"bmt", "secpm"}
+
+// Integrity runs the integrity study in a one-shot session; see
+// Session.Integrity.
+func Integrity(sc Scale, out io.Writer) (IntegrityResult, error) {
+	return NewSession(sc).Integrity(out)
+}
 
 // Integrity compares crash-consistency overhead with and without a
 // persisted integrity tree: the same workloads and annotations as the
 // paper's figures, run under SCA (counters only), BMT, and SecPM, with
-// runtime and write traffic normalized to SCA. Results fan out over the
-// runner in grid order, so stdout is identical for every Jobs value.
-func Integrity(sc Scale, out io.Writer) (IntegrityResult, error) {
+// runtime and write traffic normalized to SCA. It returns the first
+// write error.
+func (s *Session) Integrity(w io.Writer) (IntegrityResult, error) {
 	res := IntegrityResult{
-		Runtime:    make(map[string]map[config.Design]float64),
-		Traffic:    make(map[string]map[config.Design]float64),
-		AvgRuntime: make(map[config.Design]float64),
-		AvgTraffic: make(map[config.Design]float64),
+		Runtime:    make(map[string]map[string]float64),
+		Traffic:    make(map[string]map[string]float64),
+		AvgRuntime: make(map[string]float64),
+		AvgTraffic: make(map[string]float64),
 	}
-	tc := newTraceCache(sc)
-
-	// SCA first in every row: it is the normalization baseline.
-	designs := append([]config.Design{config.SCA}, integrityDesigns...)
-	ws := workloads.All()
-	rs, err := runDesignGrid(sc, tc, "integrity", ws, designs)
+	var cols []normColumn
+	for _, e := range integrityEngines {
+		cols = append(cols, normColumn{label(e) + " time", e, runtimeOf, res.Runtime, res.AvgRuntime})
+	}
+	for _, e := range integrityEngines {
+		cols = append(cols, normColumn{label(e) + " bytes", e, bytesOf, res.Traffic, res.AvgTraffic})
+	}
+	out := &errWriter{w: w}
+	var err error
+	res.Workloads, err = s.normTable(out, "integrity",
+		"Integrity: runtime and write traffic with integrity trees, normalized to SCA (lower is better)", "sca", 14, cols)
 	if err != nil {
 		return res, err
 	}
-
-	header(out, "Integrity: runtime and write traffic with integrity trees, normalized to SCA (lower is better)")
-	fmt.Fprintf(out, "%-12s", "workload")
-	for _, d := range integrityDesigns {
-		fmt.Fprintf(out, " %14s", fmt.Sprintf("%v time", d))
-	}
-	for _, d := range integrityDesigns {
-		fmt.Fprintf(out, " %14s", fmt.Sprintf("%v bytes", d))
-	}
-	fmt.Fprintln(out)
-
-	perRuntime := make(map[config.Design][]float64)
-	perTraffic := make(map[config.Design][]float64)
-	for wi, w := range ws {
-		row := rs[wi*len(designs) : (wi+1)*len(designs)]
-		base := row[0]
-		times := make(map[config.Design]float64)
-		bytes := make(map[config.Design]float64)
-		fmt.Fprintf(out, "%-12s", w.Name())
-		for di, d := range integrityDesigns {
-			norm := float64(row[di+1].Runtime) / float64(base.Runtime)
-			times[d] = norm
-			perRuntime[d] = append(perRuntime[d], norm)
-			fmt.Fprintf(out, " %14.3f", norm)
-		}
-		for di, d := range integrityDesigns {
-			norm := float64(row[di+1].BytesWritten) / float64(base.BytesWritten)
-			bytes[d] = norm
-			perTraffic[d] = append(perTraffic[d], norm)
-			fmt.Fprintf(out, " %14.3f", norm)
-		}
-		fmt.Fprintln(out)
-		res.Workloads = append(res.Workloads, w.Name())
-		res.Runtime[w.Name()] = times
-		res.Traffic[w.Name()] = bytes
-	}
-	fmt.Fprintf(out, "%-12s", "average")
-	for _, d := range integrityDesigns {
-		avg := geomean(perRuntime[d])
-		res.AvgRuntime[d] = avg
-		fmt.Fprintf(out, " %14.3f", avg)
-	}
-	for _, d := range integrityDesigns {
-		avg := geomean(perTraffic[d])
-		res.AvgTraffic[d] = avg
-		fmt.Fprintf(out, " %14.3f", avg)
-	}
-	fmt.Fprintln(out)
-	return res, nil
+	return res, out.err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"encnvm/internal/config"
 	"encnvm/internal/workloads"
 )
 
@@ -25,49 +24,48 @@ type LifetimeResult struct {
 	AvgGainCoLoc  float64
 }
 
-// Lifetime regenerates the paper's §6.3.3 lifetime analysis. The paper
-// reports SCA improving NVM lifetime by ~6.6% under uniform wear leveling;
-// the number here is this simulator's measured traffic ratio.
-func Lifetime(sc Scale, out io.Writer) (LifetimeResult, error) {
+// Lifetime runs the lifetime analysis in a one-shot session; see
+// Session.Lifetime.
+func Lifetime(sc Scale, out io.Writer) (LifetimeResult, error) { return NewSession(sc).Lifetime(out) }
+
+// Lifetime regenerates the paper's §6.3.3 lifetime analysis from Fig.
+// 12's SCA, FCA and Co-located runs. The paper reports SCA improving NVM
+// lifetime by ~6.6% under uniform wear leveling; the number here is this
+// simulator's measured traffic ratio. It returns the first write error.
+func (s *Session) Lifetime(w io.Writer) (LifetimeResult, error) {
 	res := LifetimeResult{
 		GainOverFCA:       make(map[string]float64),
 		GainOverCoLocated: make(map[string]float64),
 		HotspotFactor:     make(map[string]float64),
 	}
-	tc := newTraceCache(sc)
-
-	// Fan out the (workload × {SCA, FCA, CoLocated}) grid; rows format
-	// from the ordered results below.
-	designs := []config.Design{config.SCA, config.FCA, config.CoLocated}
-	ws := workloads.All()
-	rs, err := runDesignGrid(sc, tc, "lifetime", ws, designs)
+	rs, err := s.perWorkload("lifetime", []string{"sca", "fca", "colocated"})
 	if err != nil {
 		return res, err
 	}
 
+	out := &errWriter{w: w}
 	header(out, "§6.3.3: NVM lifetime under uniform wear leveling (gain of SCA)")
 	fmt.Fprintf(out, "%-12s %14s %18s %16s\n", "workload", "vs FCA", "vs Co-located", "hotspot factor")
 	var gainsF, gainsC []float64
-	for wi, w := range ws {
+	for wi, wl := range workloads.All() {
 		sca, fca, colo := rs[wi*3], rs[wi*3+1], rs[wi*3+2]
-		gf := float64(fca.BytesWritten)/float64(sca.BytesWritten) - 1
-		gc := float64(colo.BytesWritten)/float64(sca.BytesWritten) - 1
-		lines, total, hottest := sca.System.Dev.Wear()
+		gf := float64(fca.bytesWritten)/float64(sca.bytesWritten) - 1
+		gc := float64(colo.bytesWritten)/float64(sca.bytesWritten) - 1
 		hs := 0.0
-		if lines > 0 && total > 0 {
-			hs = float64(hottest) / (float64(total) / float64(lines))
+		if sca.wearLines > 0 && sca.wearTotal > 0 {
+			hs = float64(sca.wearHottest) / (float64(sca.wearTotal) / float64(sca.wearLines))
 		}
-		res.Workloads = append(res.Workloads, w.Name())
-		res.GainOverFCA[w.Name()] = gf
-		res.GainOverCoLocated[w.Name()] = gc
-		res.HotspotFactor[w.Name()] = hs
+		res.Workloads = append(res.Workloads, wl.Name())
+		res.GainOverFCA[wl.Name()] = gf
+		res.GainOverCoLocated[wl.Name()] = gc
+		res.HotspotFactor[wl.Name()] = hs
 		gainsF = append(gainsF, 1+gf)
 		gainsC = append(gainsC, 1+gc)
-		fmt.Fprintf(out, "%-12s %13.1f%% %17.1f%% %15.1fx\n", w.Name(), gf*100, gc*100, hs)
+		fmt.Fprintf(out, "%-12s %13.1f%% %17.1f%% %15.1fx\n", wl.Name(), gf*100, gc*100, hs)
 	}
 	res.AvgGainFCA = geomean(gainsF) - 1
 	res.AvgGainCoLoc = geomean(gainsC) - 1
 	fmt.Fprintf(out, "%-12s %13.1f%% %17.1f%%   (paper: 8.1%% / 6.6%% traffic reduction)\n",
 		"average", res.AvgGainFCA*100, res.AvgGainCoLoc*100)
-	return res, nil
+	return res, out.err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"encnvm/internal/config"
 	"encnvm/internal/crash"
 	"encnvm/internal/machine"
 	"encnvm/internal/workloads"
@@ -28,36 +27,38 @@ type OsirisResult struct {
 	RecoveryTrialsPerLine float64
 }
 
+// Osiris runs the extension study in a one-shot session; see
+// Session.Osiris.
+func Osiris(sc Scale, out io.Writer) (OsirisResult, error) { return NewSession(sc).Osiris(out) }
+
 // Osiris regenerates the extension study: the follow-on direction this
 // paper spawned replaces software counter-atomicity with ECC-assisted
 // counter recovery bounded by a stop-loss write rule. The study answers
 // two questions: does it really free legacy software from the §2.2
-// failure, and what does it cost relative to SCA?
-func Osiris(sc Scale, out io.Writer) (OsirisResult, error) {
+// failure, and what does it cost relative to SCA? It returns the first
+// write error.
+func (s *Session) Osiris(w io.Writer) (OsirisResult, error) {
+	sc := s.sc
 	res := OsirisResult{
 		VsSCA:   make(map[string]float64),
 		VsIdeal: make(map[string]float64),
 	}
-	tc := newTraceCache(sc)
-
-	// Fan out the (workload × {SCA, Ideal, Osiris}) performance grid.
-	designs := []config.Design{config.SCA, config.Ideal, config.Osiris}
-	ws := workloads.All()
-	rs, err := runDesignGrid(sc, tc, "osiris", ws, designs)
+	rs, err := s.perWorkload("osiris", []string{"sca", "ideal", "osiris"})
 	if err != nil {
 		return res, err
 	}
 
+	out := &errWriter{w: w}
 	header(out, "Extension: Osiris-style ECC counter recovery (stop-loss window = 4)")
 	fmt.Fprintf(out, "%-12s %16s %16s\n", "workload", "vs SCA", "vs Ideal")
-	for wi, w := range ws {
+	for wi, wl := range workloads.All() {
 		sca, ideal, osi := rs[wi*3], rs[wi*3+1], rs[wi*3+2]
-		vsSCA := float64(osi.Runtime) / float64(sca.Runtime)
-		vsIdeal := float64(osi.Runtime) / float64(ideal.Runtime)
-		res.Workloads = append(res.Workloads, w.Name())
-		res.VsSCA[w.Name()] = vsSCA
-		res.VsIdeal[w.Name()] = vsIdeal
-		fmt.Fprintf(out, "%-12s %15.3fx %15.3fx\n", w.Name(), vsSCA, vsIdeal)
+		vsSCA := float64(osi.runtime) / float64(sca.runtime)
+		vsIdeal := float64(osi.runtime) / float64(ideal.runtime)
+		res.Workloads = append(res.Workloads, wl.Name())
+		res.VsSCA[wl.Name()] = vsSCA
+		res.VsIdeal[wl.Name()] = vsIdeal
+		fmt.Fprintf(out, "%-12s %15.3fx %15.3fx\n", wl.Name(), vsSCA, vsIdeal)
 	}
 
 	// Crash consistency with legacy (pre-paper) software. The per-point
@@ -67,8 +68,8 @@ func Osiris(sc Scale, out io.Writer) (OsirisResult, error) {
 	p.Ops = min(p.Ops, 32)
 	p.Legacy = true
 	var trials, lines int
-	for _, w := range workloads.All() {
-		rep, err := crash.Sweep(&machine.Spec{Engine: "osiris"}, w, p, sc.CrashPoints, sc.Jobs, nil)
+	for _, wl := range workloads.All() {
+		rep, err := crash.Sweep(&machine.Spec{Engine: "osiris"}, wl, p, sc.CrashPoints, sc.Jobs, nil)
 		if err != nil {
 			return res, err
 		}
@@ -86,5 +87,5 @@ func Osiris(sc Scale, out io.Writer) (OsirisResult, error) {
 		res.LegacyFailures, res.LegacyPoints)
 	fmt.Fprintf(out, "recovery cost: %.2f candidate decryptions per line (Anubis's target metric)\n",
 		res.RecoveryTrialsPerLine)
-	return res, nil
+	return res, out.err
 }
