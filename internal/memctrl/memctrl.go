@@ -99,10 +99,23 @@ type Controller struct {
 	ctrs   *ctrenc.Counters
 	ctrC   *cache.Cache // nil unless the design uses a counter cache
 
-	dataQ     []*entry
-	counterQ  []*entry
-	pending   []*writeReq // FIFO accept queue (backpressure)
-	accepting bool        // reentrancy guard for tryAccept
+	dataQ    []*entry
+	counterQ []*entry
+	// pending is the accept FIFO (backpressure). Acceptance compacts
+	// its survivors in place; requests that arrive while a pass runs
+	// (counter-cache eviction writebacks) are appended past the pass's
+	// end and wait for the next pass.
+	pending   []*writeReq
+	accepting bool // reentrancy guard for tryAccept
+
+	// blocked holds the data lines the current acceptance pass found
+	// blocked.
+	blocked blockedSet
+
+	// refAccept, when non-nil, runs in place of tryAccept's body. Only
+	// the differential test sets it, to drive the reference acceptance
+	// loop through the same controller.
+	refAccept func()
 
 	// entryPool recycles queue entries (ROADMAP item 2: entry pooling).
 	// The queues are bounded by the configured capacities, so New
@@ -197,6 +210,7 @@ func New(eng *sim.Engine, cfg *config.Config, pol engines.Policy, dev *nvm.Devic
 	for i := range reqSlab {
 		mc.reqPool[i] = &reqSlab[i]
 	}
+	mc.pending = make([]*writeReq, 0, len(reqSlab))
 	return mc
 }
 
@@ -466,8 +480,7 @@ func (mc *Controller) Write(addr mem.Addr, plain mem.Line, ca bool, accepted fun
 	req := mc.getReq()
 	req.addr, req.plain, req.ca, req.accepted, req.arrival =
 		addr, plain, ca, accepted, mc.eng.Now()
-	mc.pending = append(mc.pending, req)
-	mc.tryAccept()
+	mc.enqueue(req)
 }
 
 // CounterWriteback implements counter_cache_writeback(addr) (§4.3): if the
@@ -501,8 +514,7 @@ func (mc *Controller) CounterWriteback(addr mem.Addr, accepted func()) {
 	} else {
 		req.accepted = accepted
 	}
-	mc.pending = append(mc.pending, req)
-	mc.tryAccept()
+	mc.enqueue(req)
 }
 
 // enqueueCounterWrite queues a standalone (always-ready) write of the
@@ -510,6 +522,14 @@ func (mc *Controller) CounterWriteback(addr mem.Addr, accepted func()) {
 func (mc *Controller) enqueueCounterWrite(cl mem.Addr, accepted func()) {
 	req := mc.getReq()
 	req.addr, req.isCtr, req.accepted, req.arrival = cl, true, accepted, mc.eng.Now()
+	mc.enqueue(req)
+}
+
+// enqueue appends req to the accept FIFO and runs acceptance. While a
+// pass runs, tryAccept returns at once and the request waits past the
+// pass's end for the next pass. The append grows the FIFO only when a
+// flush storm outruns every earlier high-water mark.
+func (mc *Controller) enqueue(req *writeReq) {
 	mc.pending = append(mc.pending, req)
 	mc.tryAccept()
 }
@@ -540,138 +560,189 @@ func (mc *Controller) packCounterLine(cl mem.Addr) mem.Line {
 //     counters of every write the program issued before it. Plain data
 //     writes may bypass stalled CA and counter writes, which is what lets
 //     SCA scale with core count (Fig. 13).
+//
+// A pass walks pending oldest first, at most acceptWindow blocked
+// requests deep, and passes repeat while one makes progress.
 func (mc *Controller) tryAccept() {
 	if mc.accepting {
 		// Acceptance can enqueue new writes (counter-cache eviction
-		// writebacks); they land at the tail of pending and are picked
-		// up by the loop already running below.
+		// writebacks); they land past the running pass's end and are
+		// picked up by the loop already running below.
+		return
+	}
+	if mc.refAccept != nil {
+		mc.refAccept()
 		return
 	}
 	mc.accepting = true
-	defer func() { mc.accepting = false }()
-	defer mc.probeQueues()
-
-	fifo := mc.pol.FIFOAcceptance
-	// blockedLines is bounded by acceptWindow, so a linear scan beats a
-	// map allocation on this very hot path; stalls are tallied locally
-	// and flushed to the stats map once per call.
-	var blockedLines [acceptWindow]mem.Addr
-	stalls := uint64(0)
-	defer func() {
-		if stalls > 0 {
-			mc.st.Inc(stats.WriteQueueStalls, stalls)
-		}
-	}()
+	var stalls, waits uint64
 	for {
-		progress := false
-		dataUnaccepted := false // an earlier data/CA write is still pending
-		ctrBlocked := false     // an earlier counter write is still pending
-		nBlocked := 0
-
-		// Detach the list: acceptance can enqueue fresh requests
-		// (counter-cache eviction writebacks), which land on the
-		// now-empty mc.pending and are merged behind the survivors.
-		pending := mc.pending
-		mc.pending = nil
-		var keep []*writeReq
-
-		for i := 0; i < len(pending); i++ {
-			if len(keep) >= acceptWindow {
-				// Lookahead exhausted; everything younger waits.
-				keep = append(keep, pending[i:]...)
-				break
-			}
-			req := pending[i]
-			var ok bool
-			switch {
-			case req.isCtr:
-				turn := !ctrBlocked && !dataUnaccepted
-				if turn && req.ccwb && (mc.ctrC == nil || !mc.ctrC.IsDirty(req.addr)) {
-					// Nothing to write after all; the request
-					// completes without consuming a queue slot.
-					if req.accepted != nil {
-						mc.eng.Schedule(0, req.accepted)
-					}
-					mc.putReq(req)
-					progress = true
-					continue
-				}
-				ok = turn && (len(mc.counterQ) < mc.cfg.CounterWriteQueue ||
-					mc.hasUnissuedCounter(req.addr))
-				if !ok {
-					ctrBlocked = true
-				}
-			case req.ca:
-				haveData := len(mc.dataQ) < mc.cfg.DataWriteQueue
-				// Outside FCA, the counter half coalesces into an
-				// unissued entry for the same counter line, so a full
-				// counter queue only blocks when no such entry exists.
-				haveCtr := len(mc.counterQ) < mc.cfg.CounterWriteQueue ||
-					(!fifo && mc.hasUnissuedCounter(mc.layout.CounterLine(req.addr)))
-				ok = !dataUnaccepted && !ctrBlocked &&
-					!lineBlocked(blockedLines[:nBlocked], req.addr) &&
-					haveData && haveCtr
-				if !ok {
-					if haveData != haveCtr {
-						mc.st.Inc(stats.ReadyBitWaits, 1)
-					}
-					dataUnaccepted = true
-					nBlocked = blockLine(&blockedLines, nBlocked, req.addr)
-				}
-			default:
-				ok = !lineBlocked(blockedLines[:nBlocked], req.addr) &&
-					len(mc.dataQ) < mc.cfg.DataWriteQueue
-				if !ok {
-					dataUnaccepted = true
-					nBlocked = blockLine(&blockedLines, nBlocked, req.addr)
-				}
-			}
-			if ok {
-				if req.isCtr {
-					mc.acceptCounter(req)
-				} else {
-					mc.acceptData(req)
-				}
-				mc.putReq(req)
-				progress = true
-			} else {
-				stalls++
-				keep = append(keep, req)
-				if fifo {
-					// Strict FIFO: nothing younger may pass.
-					keep = append(keep, pending[i+1:]...)
-					break
-				}
-			}
-		}
-		mc.pending = append(keep, mc.pending...)
-		if !progress || len(mc.pending) == 0 {
-			return
+		p := mc.acceptPass()
+		stalls += p.stalls
+		waits += p.readyWaits
+		if !p.progress || len(mc.pending) == 0 {
+			break
 		}
 	}
+	// Tallied once per call, not per request: the stats map is keyed by
+	// string.
+	if stalls > 0 {
+		mc.st.Inc(stats.WriteQueueStalls, stalls)
+	}
+	if waits > 0 {
+		mc.st.Inc(stats.ReadyBitWaits, waits)
+	}
+	mc.probeQueues()
+	mc.accepting = false
 }
 
-// lineBlocked reports whether a is in the blocked-line set. A plain
-// function over tryAccept's stack array, not a closure: tryAccept runs
-// once per accepted write and must not allocate.
-func lineBlocked(blocked []mem.Addr, a mem.Addr) bool {
-	for _, b := range blocked {
-		if b == a {
+// passResult is what one acceptance pass reports to tryAccept.
+type passResult struct {
+	progress   bool // the pass accepted or completed a request
+	stalls     uint64
+	readyWaits uint64 // blocked CA writes with room in exactly one queue
+}
+
+func (mc *Controller) dataRoom() bool { return len(mc.dataQ) < mc.cfg.DataWriteQueue }
+func (mc *Controller) ctrRoom() bool  { return len(mc.counterQ) < mc.cfg.CounterWriteQueue }
+
+// acceptPass walks the requests pending held when it started, accepting
+// what it can, then compacts the survivors, the unevaluated rest and any
+// arrivals to the front of pending without allocating.
+func (mc *Controller) acceptPass() (r passResult) {
+	mc.blocked.clear()
+	fifo := mc.pol.FIFOAcceptance
+	dataWait := false // an earlier data/CA write is still pending
+	ctrWait := false  // an earlier counter write is still pending
+	// Requests arriving during the pass (eviction writebacks) are
+	// appended past end and wait for the next pass. The append may move
+	// the backing array, so pending is always indexed through mc.
+	end := len(mc.pending)
+	kept, next := 0, 0
+	for ; next < end; next++ {
+		if kept >= acceptWindow {
+			// Lookahead exhausted; everything younger waits.
+			break
+		}
+		req := mc.pending[next]
+		var ok bool
+		switch {
+		case req.isCtr:
+			turn := !ctrWait && !dataWait
+			if turn && req.ccwb && (mc.ctrC == nil || !mc.ctrC.IsDirty(req.addr)) {
+				// Nothing to write after all; the request
+				// completes without consuming a queue slot.
+				if req.accepted != nil {
+					mc.eng.Schedule(0, req.accepted)
+				}
+				mc.putReq(req)
+				r.progress = true
+				continue
+			}
+			ok = turn && (mc.ctrRoom() || mc.hasUnissuedCounter(req.addr))
+			if !ok {
+				ctrWait = true
+			}
+		case req.ca:
+			haveData := mc.dataRoom()
+			// Outside FCA, the counter half coalesces into an
+			// unissued entry for the same counter line, so a full
+			// counter queue only blocks when no such entry exists.
+			haveCtr := mc.ctrRoom() ||
+				(!fifo && mc.hasUnissuedCounter(mc.layout.CounterLine(req.addr)))
+			ok = !dataWait && !ctrWait && !mc.blocked.has(req.addr) && haveData && haveCtr
+			if !ok {
+				if haveData != haveCtr {
+					r.readyWaits++
+				}
+				dataWait = true
+				mc.blocked.add(req.addr)
+			}
+		default:
+			ok = !mc.blocked.has(req.addr) && mc.dataRoom()
+			if !ok {
+				dataWait = true
+				mc.blocked.add(req.addr)
+			}
+		}
+		if ok {
+			if req.isCtr {
+				mc.acceptCounter(req)
+			} else {
+				mc.acceptData(req)
+			}
+			mc.putReq(req)
+			r.progress = true
+			continue
+		}
+		r.stalls++
+		mc.pending[kept] = req
+		kept++
+		if fifo {
+			// Strict FIFO: nothing younger may pass.
+			next++
+			break
+		}
+	}
+	if next > kept {
+		p := mc.pending
+		n := kept + copy(p[kept:], p[next:])
+		clear(p[n:])
+		mc.pending = p[:n]
+	}
+	return r
+}
+
+// blockedBits sizes the blocked-line table at 2×acceptWindow slots: a
+// pass blocks at most acceptWindow lines, so the table is at most half
+// full and linear probes stay short.
+const (
+	blockedBits  = 7
+	blockedSlots = 1 << blockedBits
+	_            = uint(blockedSlots - 2*acceptWindow) // compile-time: room for 2×acceptWindow
+)
+
+// blockedSet holds the data lines with a blocked write in the current
+// acceptance pass; a younger write to one of them may not pass it. It is
+// an open-addressed table whose slots are live only when stamped with
+// the current generation, so clearing it between passes is one
+// increment.
+type blockedSet struct {
+	gen   uint64
+	addr  [blockedSlots]mem.Addr
+	stamp [blockedSlots]uint64
+}
+
+// blockedSlot is a's home slot: Fibonacci hashing, keeping the
+// well-mixed high bits of the product.
+func blockedSlot(a mem.Addr) uint32 {
+	return uint32(uint64(a) * 0x9E3779B97F4A7C15 >> (64 - blockedBits))
+}
+
+func (b *blockedSet) has(a mem.Addr) bool {
+	for i := blockedSlot(a); b.stamp[i] == b.gen; i = (i + 1) % blockedSlots {
+		if b.addr[i] == a {
 			return true
 		}
 	}
 	return false
 }
 
-// blockLine adds a to the blocked-line set if there is room, returning
-// the new set size.
-func blockLine(set *[acceptWindow]mem.Addr, n int, a mem.Addr) int {
-	if n < len(set) && !lineBlocked(set[:n], a) {
-		set[n] = a
-		n++
+func (b *blockedSet) add(a mem.Addr) {
+	i := blockedSlot(a)
+	for ; b.stamp[i] == b.gen; i = (i + 1) % blockedSlots {
+		if b.addr[i] == a {
+			return
+		}
 	}
-	return n
+	b.addr[i], b.stamp[i] = a, b.gen
 }
+
+// clear empties the set. A 64-bit generation does not wrap in any
+// feasible run, so a stale stamp never reads as live. Generation 0
+// matches the zeroed stamps, so a set is cleared before its first use;
+// acceptPass clears it on entry.
+func (b *blockedSet) clear() { b.gen++ }
 
 // acceptData admits one data write: encrypt, update the counter state,
 // queue the device write, and (for CA writes) pair it with the counter
